@@ -141,7 +141,7 @@ def primary_decomposition(X, seed=0):
         power = mat_eval_poly(f, X) ** lam.parts[0]
         basis = power.kernel()
         if len(basis) != f.degree * lam.size:
-            raise AssertionError("primary component has unexpected dimension")
+            raise VerificationError("primary component has unexpected dimension")
         out.append(
             PrimaryComponent(
                 poly=f,
@@ -186,19 +186,19 @@ def jordan_chevalley(X):
             )
         z = (z - val * a) % m
     else:
-        raise AssertionError("Newton iteration failed to stabilize")
+        raise VerificationError("Newton iteration failed to stabilize")
     S = mat_eval_poly(z, X)
     N = X - S
     n = X.nrows
     if S + N != X:
-        raise AssertionError("parts do not sum back")
+        raise VerificationError("parts do not sum back")
     if S * N != N * S:
-        raise AssertionError("parts do not commute")
+        raise VerificationError("parts do not commute")
     if not (N**n).is_zero_matrix():
-        raise AssertionError("nilpotent part is not nilpotent")
+        raise VerificationError("nilpotent part is not nilpotent")
     ms = minpoly(S)
     if poly_gcd(ms, ms.derivative()).degree != 0:
-        raise AssertionError("semisimple part has a repeated factor")
+        raise VerificationError("semisimple part has a repeated factor")
     return JCDecomposition(semisimple=S, nilpotent=N, poly=z)
 
 
@@ -225,7 +225,7 @@ def _component_witness(f, lam, g, rs):
             break
         sigma = poly_compose_mod(t, sigma, mm)
     else:
-        raise AssertionError("valuation-doubling iteration failed to stabilize")
+        raise VerificationError("valuation-doubling iteration failed to stabilize")
     pc = (poly_compose_mod(r, sigma, mm) + x - sigma) % mm
     if cycle_type(mat_eval_poly(pc, M)) != target:
         raise VerificationError("component witness missed the target class")

@@ -66,16 +66,6 @@ def primary_matrix(f, lam, rng, conjugate=True):
     return m
 
 
-def matrix_of_type(ct, rng, conjugate=True):
-    """A matrix with the given cycle type."""
-    blocks = [primary_matrix(f, lam, rng, conjugate=False) for f, lam in ct.entries]
-    m = block_diag(blocks)
-    if conjugate:
-        u = random_invertible(m.ctx, m.nrows, rng, bound=2)
-        m = u * m * u.inverse()
-    return m
-
-
 # Over Q, pairs of irreducibles with a root of one rational in the
 # other: scaled square roots and additive shifts.
 _Q_SCALE_FAMILIES = ((-2, (1, 4, 9)), (-3, (1, 4)), (1, (1, 4)), (-5, (1, 4)))

@@ -18,22 +18,41 @@ from .errors import (
     DivisionByZero,
     ParseError,
     ReducibleModulus,
+    TooLarge,
     UnsupportedField,
 )
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin over the first 13 prime bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2015).
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic primality test; TooLarge above the proven bound."""
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:  # no prime factor up to 41, so none at all
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_BOUND:
+        raise TooLarge("primality test is exact only below 3.3e24, got %d" % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -403,13 +422,12 @@ class ExtensionField(FieldCtx):
         return tuple(conv[:d])
 
     def _inv(self, a):
-        g, s = _vec_invert(self.base, list(a), list(self.modulus_coeffs))
-        if g is None:
+        from .upoly import Poly, poly_xgcd
+
+        g, s, _ = poly_xgcd(Poly(self.base, a), Poly(self.base, self.modulus_coeffs))
+        if not g.is_one():
             raise DivisionByZero("element not invertible (reducible modulus?)")
-        d = self.degree
-        s = s[:d]
-        s.extend([self.base.zero] * (d - len(s)))
-        return tuple(s)
+        return s.coeffs + (self.base.zero,) * (self.degree - len(s.coeffs))
 
     def _key(self, a):
         return tuple(self.base._key(c.val) for c in a)
@@ -452,81 +470,6 @@ class ExtensionField(FieldCtx):
 
     def __repr__(self):
         return "ExtensionField(%r, deg=%d)" % (self.base, self.degree)
-
-
-# -- coefficient-vector polynomial helpers (used for extension inversion) --
-
-
-def _vec_strip(a):
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
-
-
-def _vec_divmod(ctx, a, b):
-    # b nonzero; coefficient lists over ctx, low order first
-    b = list(b)
-    _vec_strip(b)
-    inv_lc = b[-1].inverse()
-    r = list(a)
-    _vec_strip(r)
-    q = [ctx.zero] * max(0, len(r) - len(b) + 1)
-    while len(r) >= len(b):
-        c = r[-1] * inv_lc
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = r[k + i] - c * bc
-        _vec_strip(r)
-    return q, r
-
-
-def _vec_invert(ctx, a, m):
-    """Inverse of a modulo m over ctx; returns (unit, inv) or (None, None)."""
-    _vec_strip(a)
-    if not a:
-        return None, None
-    r0, r1 = list(m), list(a)
-    t0, t1 = [], [ctx.one]
-    while r1:
-        q, r = _vec_divmod(ctx, r0, r1)
-        r0, r1 = r1, r
-        qt = _vec_mul(ctx, q, t1)
-        t0, t1 = t1, _vec_sub(ctx, t0, qt)
-    if len(r0) != 1:
-        return None, None
-    inv_unit = r0[0].inverse()
-    inv = [c * inv_unit for c in t0]
-    _, inv = _vec_divmod_keep(ctx, inv, m)
-    return r0[0], inv
-
-
-def _vec_mul(ctx, a, b):
-    if not a or not b:
-        return []
-    out = [ctx.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _vec_strip(out)
-
-
-def _vec_sub(ctx, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ctx.zero
-        y = b[i] if i < len(b) else ctx.zero
-        out.append(x - y)
-    return _vec_strip(out)
-
-
-def _vec_divmod_keep(ctx, a, m):
-    if len(a) < len(m):
-        return [], a
-    return _vec_divmod(ctx, a, m)
 
 
 # -- construction helpers --

@@ -2,8 +2,14 @@
 
 Matrices are immutable tuples of FieldElem rows over one FieldCtx.  On
 top of the usual arithmetic the module provides reduced row echelon
-form, kernels, inverses, and `frobenius_form`, which computes invariant
-factors together with an explicit change of basis.
+form, kernels, inverses, determinants, and `frobenius_form`, which
+computes invariant factors together with an explicit change of basis.
+
+All elimination runs through `_Echelon`, which works on raw field
+payloads (ints mod p, Fractions, extension tuples) through the context's
+`_add/_sub/_mul/_neg/_inv` and boxes nothing.  `Matrix.rref` and
+`Matrix.det` insert the rows into one; `kernel`, `inverse`,
+`solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
@@ -18,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotSquare, SingularMatrix, SizeMismatch
+from .errors import NotSquare, SingularMatrix, SizeMismatch, VerificationError
 from .upoly import Poly
 
 
@@ -199,61 +205,37 @@ class Matrix:
 
     def rref(self):
         """(reduced row echelon Matrix, pivot column tuple)."""
-        rows = [list(r) for r in self.rows]
-        n, m = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(m):
-            sel = None
-            for i in range(r, n):
-                if not rows[i][c].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = rows[r][c].inverse()
-            rows[r] = [v * inv for v in rows[r]]
-            for i in range(n):
-                if i == r:
-                    continue
-                f = rows[i][c]
-                if f.is_zero():
-                    continue
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == n:
-                break
-        return Matrix(self.ctx, rows), tuple(pivots)
+        ech = _Echelon(self.ctx, self.ncols)
+        for r in self.rows:
+            ech.insert([c.val for c in r])
+        stored = sorted(ech.rows, key=lambda e: e[0])
+        zero = self.ctx.zero.val
+        rows = [[zero] * self.ncols for _ in range(self.nrows)]
+        for dense, (_, row, _) in zip(rows, stored):
+            for i, v in row.items():
+                dense[i] = v
+        return Matrix(self.ctx, rows), tuple(p for p, _, _ in stored)
 
     def rank(self):
         return len(self.rref()[1])
 
     def det(self):
+        """Product of the pivots the echelon meets before normalising,
+        signed by the order of the pivot columns."""
         self._require_square()
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = self.ctx.one
-        for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if not rows[i][c].is_zero():
-                    sel = i
-                    break
-            if sel is None:
-                return self.ctx.zero
-            if sel != c:
-                rows[c], rows[sel] = rows[sel], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c].inverse()
-            for i in range(c + 1, n):
-                f = rows[i][c] * inv
-                if f.is_zero():
-                    continue
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-        return det
+        ctx = self.ctx
+        ech = _Echelon(ctx, self.ncols)
+        for r in self.rows:
+            if ech.insert([c.val for c in r]) is not None:
+                return ctx.zero
+        det = ctx.one.val
+        for lead in ech.leads:
+            det = ctx._mul(det, lead)
+        pivots = [p for p, _, _ in ech.rows]
+        inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
+        if inversions % 2:
+            det = ctx._neg(det)
+        return ctx.coerce(det)
 
     def inverse(self):
         self._require_square()
@@ -357,76 +339,80 @@ def matrix_embed(M, L):
 
 
 class _Echelon:
-    """Row space in reduced echelon form with dependency bookkeeping.
+    """Row space in reduced echelon form over raw field payloads, with
+    dependency bookkeeping.  This is the package's one elimination loop.
 
-    Untracked inserts are seeds; tracked inserts carry a tag.  Every
-    stored row remembers its expression over the tagged originals modulo
-    the seed span, so `express` can decompose a vector over the tracked
-    inserts.
+    Vectors go in as lists of payloads (`[c.val for c in vec]`).  Untracked
+    inserts are seeds; tracked inserts carry a tag.  Every stored row is
+    kept sparse as {column: payload}, is normalised to 1 at its pivot, and
+    remembers its expression over the tagged originals modulo the seed
+    span, so `express` can decompose a vector over the tracked inserts.
+    `leads` holds, in insertion order, each independent insert's pivot
+    payload before normalisation.
     """
 
     def __init__(self, ctx, width):
         self.ctx = ctx
         self.width = width
-        self.rows = []  # (pivot index, normalized row, {tag: coeff})
-
-    @property
-    def dim(self):
-        return len(self.rows)
+        self.rows = []  # (pivot index, {column: payload}, {tag: coeff})
+        self.leads = []
 
     def _reduce(self, vec):
-        work = [self.ctx.coerce(v) for v in vec]
+        work = list(vec)
         if len(work) != self.width:
             raise SizeMismatch("vector of length %d in width-%d echelon" % (len(work), self.width))
+        ctx = self.ctx
+        zero, add, sub, mul = ctx.zero.val, ctx._add, ctx._sub, ctx._mul
         acc = {}
         for pivot, row, combo in self.rows:
             c = work[pivot]
-            if c.is_zero():
+            if c == zero:
                 continue
-            for i, rv in enumerate(row):
-                if not rv.is_zero():
-                    work[i] = work[i] - c * rv
+            for i, rv in row.items():
+                work[i] = sub(work[i], mul(c, rv))
             for t, v in combo.items():
-                acc[t] = acc.get(t, self.ctx.zero) + c * v
-        return work, acc
+                acc[t] = add(acc.get(t, zero), mul(c, v))
+        return work, {t: v for t, v in acc.items() if v != zero}
 
     def insert(self, vec, tag=None):
         """Add a vector.  Returns None if independent, else the
         dependency {tag: coeff} with vec == sum(coeff * original) modulo
         the seed span."""
         work, acc = self._reduce(vec)
-        piv = next((i for i, c in enumerate(work) if not c.is_zero()), None)
+        ctx = self.ctx
+        zero, sub, mul = ctx.zero.val, ctx._sub, ctx._mul
+        piv = next((i for i, c in enumerate(work) if c != zero), None)
         if piv is None:
-            return {t: v for t, v in acc.items() if not v.is_zero()}
-        inv = work[piv].inverse()
-        row_n = [c * inv for c in work]
-        combo_n = {t: -v * inv for t, v in acc.items() if not v.is_zero()}
+            return acc
+        lead = work[piv]
+        inv = ctx._inv(lead)
+        row_n = {i: mul(c, inv) for i, c in enumerate(work) if c != zero}
+        combo_n = {t: mul(ctx._neg(v), inv) for t, v in acc.items()}
         if tag is not None:
-            combo_n[tag] = combo_n.get(tag, self.ctx.zero) + inv
-        fixed = []
-        for pivot, row, combo in self.rows:
-            c = row[piv]
-            if not c.is_zero():
-                row = [a - c * b for a, b in zip(row, row_n)]
-                combo = dict(combo)
-                for t, v in combo_n.items():
-                    combo[t] = combo.get(t, self.ctx.zero) - c * v
-                combo = {t: v for t, v in combo.items() if not v.is_zero()}
-            fixed.append((pivot, row, combo))
-        fixed.append((piv, row_n, combo_n))
-        self.rows = fixed
+            combo_n[tag] = ctx._add(combo_n.get(tag, zero), inv)
+        for _, row, combo in self.rows:
+            c = row.get(piv)
+            if c is None:
+                continue
+            for target, new in ((row, row_n), (combo, combo_n)):
+                for k, v in new.items():
+                    d = sub(target.get(k, zero), mul(c, v))
+                    if d == zero:
+                        target.pop(k, None)
+                    else:
+                        target[k] = d
+        self.rows.append((piv, row_n, combo_n))
+        self.leads.append(lead)
         return None
 
     def express(self, vec):
         """{tag: coeff} with vec == sum(coeff * original) modulo seeds,
         or None when vec is outside the stored span."""
         work, acc = self._reduce(vec)
-        if any(not c.is_zero() for c in work):
+        zero = self.ctx.zero.val
+        if any(c != zero for c in work):
             return None
-        return {t: v for t, v in acc.items() if not v.is_zero()}
-
-    def contains(self, vec):
-        return self.express(vec) is not None
+        return acc
 
 
 # -- rational canonical form --
@@ -466,17 +452,17 @@ def _coset_order(A, u, seeds):
     ctx = A.ctx
     ech = _Echelon(ctx, A.nrows)
     for s in seeds:
-        ech.insert(s)
+        ech.insert([c.val for c in s])
     chain = []
     vec = u
     k = 0
     while True:
-        dep = ech.insert(vec, tag=k)
+        dep = ech.insert([c.val for c in vec], tag=k)
         if dep is not None:
-            coeffs = [ctx.zero] * (k + 1)
+            coeffs = [ctx.zero.val] * (k + 1)
             for j, c in dep.items():
-                coeffs[j] = -c
-            coeffs[k] = ctx.one
+                coeffs[j] = ctx._neg(c)
+            coeffs[k] = ctx.one.val
             return Poly(ctx, coeffs), chain
         chain.append(vec)
         vec = A.apply(vec)
@@ -497,7 +483,7 @@ def _lcm_coprime_split(f, g):
         f1 = (f1 * h).monic()
     g1 = (lcm // f1).monic()
     if poly_gcd(f1, g1).degree != 0 or not (f1 * g1 - lcm).is_zero():
-        raise AssertionError("coprime lcm split failed")
+        raise VerificationError("coprime lcm split failed")
     return f1, g1
 
 
@@ -540,23 +526,23 @@ def frobenius_form(A):
             ech = _Echelon(ctx, n)
             for ci, (_, _, kry) in enumerate(chains):
                 for j, kv in enumerate(kry):
-                    ech.insert(kv, tag=(ci, j))
-            expr = ech.express(fu)
+                    ech.insert([c.val for c in kv], tag=(ci, j))
+            expr = ech.express([c.val for c in fu])
             if expr is None:
-                raise AssertionError("conductor image escaped the accumulated span")
+                raise VerificationError("conductor image escaped the accumulated span")
             for ci, (v, _, kry) in enumerate(chains):
-                gi = Poly(ctx, [expr.get((ci, j), ctx.zero) for j in range(len(kry))])
+                gi = Poly(ctx, [expr.get((ci, j), ctx.zero.val) for j in range(len(kry))])
                 if gi.is_zero():
                     continue
                 q, r = divmod(gi, f)
                 if not r.is_zero():
-                    raise AssertionError("conductor fails to divide a chain coefficient")
+                    raise VerificationError("conductor fails to divide a chain coefficient")
                 u = _vsub(u, mat_eval_poly(q, A).apply(v))
         elif any(not c.is_zero() for c in fu):
-            raise AssertionError("minimal polynomial does not annihilate its witness")
+            raise VerificationError("minimal polynomial does not annihilate its witness")
         g, chain = _coset_order(A, u, all_krylov)
         if not (g - f).is_zero() or len(chain) != f.degree:
-            raise AssertionError("corrected generator changed order")
+            raise VerificationError("corrected generator changed order")
         chains.append((u, f, chain))
         all_krylov.extend(chain)
         dim += f.degree
@@ -564,16 +550,15 @@ def frobenius_form(A):
     factors = tuple(f for _, f, _ in chains)
     for a, b in zip(factors, factors[1:]):
         if not (b % a).is_zero():
-            raise AssertionError("invariant factors fail the divisibility chain")
+            raise VerificationError("invariant factors fail the divisibility chain")
     cols = []
     for _, _, chain in chains:
         cols.extend(chain)
     Q = Matrix.from_columns(ctx, cols)
     P = Q.inverse()
     F = block_diag([companion(f) for f in factors])
-    if __debug__:
-        if P * A * Q != F:
-            raise AssertionError("canonical form verification failed")
+    if P * A * Q != F:
+        raise VerificationError("canonical form verification failed")
     return FrobeniusForm(factors, F, P)
 
 
@@ -600,9 +585,8 @@ def similar_conjugator(A, B):
     if fa.invariant_factors != fb.invariant_factors:
         return None
     S = fa.transform.inverse() * fb.transform
-    if __debug__:
-        if S.inverse() * A * S != B:
-            raise AssertionError("conjugator verification failed")
+    if S.inverse() * A * S != B:
+        raise VerificationError("conjugator verification failed")
     return S
 
 

@@ -209,9 +209,6 @@ class CycleLayers:
             self._limages[i] = cached
         return cached
 
-    def layer_perm(self, i):
-        return Permutation(self.layer_images(i))
-
 
 def cycle_layers(g):
     return CycleLayers(g)

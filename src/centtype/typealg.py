@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CtxMismatch, NotIrreducible, SizeMismatch
+from .errors import CtxMismatch, NotIrreducible, SizeMismatch, VerificationError
 from .exactfield import ExtensionField
 from .exactmat import Matrix, frobenius_form
 from .upoly import (
@@ -287,16 +287,16 @@ def _poly_equivalent_cached(f, g):
     B = Matrix.from_columns(K, powers)
     svec = B.solve_right(L.generator.val)
     if svec is None:
-        raise AssertionError("powers of a generating root failed to span")
+        raise VerificationError("powers of a generating root failed to span")
     s = Poly(K, svec)
     if not poly_compose_mod(g, r, f).is_zero():
-        raise AssertionError("claimed root is not a root")
+        raise VerificationError("claimed root is not a root")
     if not poly_compose_mod(f, s, g).is_zero():
-        raise AssertionError("inverse witness misses the source")
+        raise VerificationError("inverse witness misses the source")
     if not ((poly_compose_mod(s, r, f) - x) % f).is_zero():
-        raise AssertionError("witness pair does not invert modulo the source")
+        raise VerificationError("witness pair does not invert modulo the source")
     if not ((poly_compose_mod(r, s, g) - x) % g).is_zero():
-        raise AssertionError("witness pair does not invert modulo the target")
+        raise VerificationError("witness pair does not invert modulo the target")
     return (r, s)
 
 

@@ -35,6 +35,7 @@ from .errors import (
     NonCoprimeModuli,
     NotAnExtension,
     UnsupportedField,
+    VerificationError,
     ZeroPolynomial,
 )
 from .exactfield import (
@@ -42,6 +43,7 @@ from .exactfield import (
     FieldElem,
     PrimeField,
     RationalField,
+    _is_prime,
     prime_field,
     rationals,
 )
@@ -620,20 +622,9 @@ def _primes():
     yield 2
     n = 3
     while True:
-        if _is_prime_small(n):
+        if _is_prime(n):
             yield n
         n += 2
-
-
-def _is_prime_small(n):
-    d = 3
-    if n % 2 == 0:
-        return n == 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _zz_factor_squarefree(P):
@@ -771,7 +762,8 @@ def _hensel_lift(p, f, flist, ell):
         h = [c % p for c in _zmul(h, part)]
     gp, hp = Poly(Fp, g), Poly(Fp, h)
     one, s, t = poly_xgcd(gp, hp)
-    assert one.is_one(), "mod-p factors are not coprime"
+    if not one.is_one():
+        raise VerificationError("mod-p factors are not coprime")
     g, h = _ztrunc(g, p), _ztrunc(h, p)
     s = _ztrunc([c.val for c in s.coeffs], p)
     t = _ztrunc([c.val for c in t.coeffs], p)
@@ -949,6 +941,6 @@ def _roots_trager(g, L):
         if cand.degree == 1:
             beta = -cand.coeffs[0]
             if not gl(beta).is_zero():
-                raise AssertionError("norm-resultant root fails to satisfy the input")
+                raise VerificationError("norm-resultant root fails to satisfy the input")
             roots.append(beta)
     return roots

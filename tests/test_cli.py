@@ -40,6 +40,16 @@ def test_mtype_rows(tmp_path):
     assert len(out["cycle_type"]) == 2
 
 
+def test_mtype_huge_prime(tmp_path):
+    p = 10**18 + 3
+    f = write_matrix(tmp_path, "m.json", {"field": {"kind": "Fp", "p": p}, "rows": [[1, 2], [3, 4]]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "centtype.cli", "mtype", f], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["field"] == {"kind": "Fp", "p": p}
+
+
 def test_centconj_positive(tmp_path):
     x = write_matrix(tmp_path, "x.json", {"field": {"kind": "Q"}, "companion": "x^2 - 2"})
     y = write_matrix(tmp_path, "y.json", {"field": {"kind": "Q"}, "companion": "x^2 - 8"})

@@ -9,6 +9,7 @@ from centtype import (
     ExtensionField,
     Poly,
     ReducibleModulus,
+    TooLarge,
     elem_from_json,
     elem_to_json,
     extension_field,
@@ -17,6 +18,7 @@ from centtype import (
     prime_field,
     rationals,
 )
+from centtype.exactfield import _is_prime
 
 
 def test_prime_field_basics():
@@ -52,6 +54,23 @@ def test_composite_modulus_rejected():
         prime_field(1)
     with pytest.raises(CompositeModulus):
         prime_field(91)
+
+
+def test_primality_is_deterministic_miller_rabin():
+    sieve = [True] * 3000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 55):
+        for j in range(i * i, 3000, i):
+            sieve[j] = False
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if sieve[n]]
+    assert prime_field(10**18 + 3).p == 10**18 + 3
+    # Carmichael, strong pseudoprime to bases 2..7, to bases 2..23, and a
+    # product of two 10-digit primes that trial division would take ages on
+    for n in (561, 3215031751, 3825123056546413051, (10**9 + 7) * (10**9 + 9)):
+        with pytest.raises(CompositeModulus):
+            prime_field(n)
+    with pytest.raises(TooLarge):
+        prime_field(2**89 - 1)
 
 
 def test_rationals():

@@ -1,4 +1,8 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +15,7 @@ from centtype import (
     block_diag,
     charpoly,
     companion,
+    extension_field,
     frobenius_form,
     mat_eval_poly,
     minpoly,
@@ -18,11 +23,15 @@ from centtype import (
     rationals,
     restrict_to_basis,
 )
-from centtype.construct import random_invertible, random_matrix
+from centtype.construct import random_elem, random_invertible, random_matrix
+from centtype.exactmat import _Echelon
 
 Q = rationals()
 F2 = prime_field(2)
+F3 = prime_field(3)
 F5 = prime_field(5)
+F9 = extension_field(F3, [1, 0, 1])
+FIELDS = (F2, F3, F5, Q, F9)
 
 
 def test_matrix_constructors():
@@ -197,3 +206,165 @@ def test_restrict_to_basis():
     basis = ((Q.elem(1), Q.elem(0)),)
     R = restrict_to_basis(A, basis)
     assert R == Matrix(Q, [[1]])
+
+
+# -- the elimination core against references that do not use it --
+
+
+def _rand_matrix(ctx, m, n, rng):
+    return Matrix(ctx, [[random_elem(ctx, rng, bound=3) for _ in range(n)] for _ in range(m)])
+
+
+def _rand_maybe_singular(ctx, n, rng):
+    """Random square matrix; for n >= 3 about one in three gets its third
+    row replaced by a combination of the first two, so singular inputs
+    occur over Q too."""
+    A = _rand_matrix(ctx, n, n, rng)
+    if n < 3 or rng.randrange(3):
+        return A
+    rows = [list(r) for r in A.rows]
+    a, b = random_elem(ctx, rng, bound=3), random_elem(ctx, rng, bound=3)
+    rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return Matrix(ctx, rows)
+
+
+def _leibniz_det(A):
+    n = A.nrows
+    total = A.ctx.zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = A.ctx.one
+        for i, j in enumerate(perm):
+            term = term * A.rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _vectors(ctx, n):
+    return [tuple(v) for v in itertools.product(list(ctx.elements()), repeat=n)]
+
+
+def _in_rref_span(R, pivots, v):
+    """v == sum v[pivot_r] * R_r: row-space membership read off the shape."""
+    acc = [R.ctx.zero] * R.ncols
+    for r, pc in enumerate(pivots):
+        acc = [a + v[pc] * x for a, x in zip(acc, R.rows[r])]
+    return tuple(acc) == tuple(v)
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(101)
+    for ctx in FIELDS:
+        for _ in range(12):
+            A = _rand_maybe_singular(ctx, rng.randrange(1, 5), rng)
+            assert A.det() == _leibniz_det(A)
+
+
+def test_rank_and_nullity_match_enumeration():
+    rng = random.Random(102)
+    for ctx in (F2, F3):
+        for _ in range(12):
+            m, n = rng.randrange(1, 4), rng.randrange(1, 5)
+            A = _rand_matrix(ctx, m, n, rng)
+            null = {v for v in _vectors(ctx, n) if all(e.is_zero() for e in A.apply(v))}
+            ker = A.kernel()
+            spanned = set()
+            for cs in itertools.product(list(ctx.elements()), repeat=len(ker)):
+                v = [ctx.zero] * n
+                for c, k in zip(cs, ker):
+                    v = [x + c * y for x, y in zip(v, k)]
+                spanned.add(tuple(v))
+            assert spanned == null
+            assert len(null) == ctx.order() ** (n - A.rank())
+            image = {A.apply(v) for v in _vectors(ctx, n)}
+            for b in _vectors(ctx, m):
+                x = A.solve_right(b)
+                assert (x is None) == (b not in image)
+                if x is not None:
+                    assert A.apply(x) == b
+
+
+def test_rref_canonical_shape():
+    rng = random.Random(103)
+    for ctx in FIELDS:
+        for _ in range(10):
+            A = _rand_matrix(ctx, rng.randrange(1, 5), rng.randrange(1, 5), rng)
+            R, pivots = A.rref()
+            assert R.shape == A.shape
+            assert list(pivots) == sorted(set(pivots))
+            for r, row in enumerate(R.rows):
+                if r >= len(pivots):
+                    assert all(c.is_zero() for c in row)
+                    continue
+                assert all(c.is_zero() for c in row[: pivots[r]])
+                assert row[pivots[r]].is_one()
+                assert all(R.rows[k][pivots[r]].is_zero() for k in range(R.nrows) if k != r)
+            assert R.rref() == (R, pivots)
+            assert all(_in_rref_span(R, pivots, row) for row in A.rows)
+            assert A.rowspace_rref() == R.rows[: len(pivots)]
+
+
+def test_inverse_and_solve_round_trips():
+    rng = random.Random(104)
+    for ctx in FIELDS:
+        for _ in range(6):
+            n = rng.randrange(1, 5)
+            A = random_invertible(ctx, n, rng, bound=3)
+            Ainv = A.inverse()
+            assert A * Ainv == Matrix.identity(ctx, n)
+            assert Ainv * A == Matrix.identity(ctx, n)
+            x = tuple(random_elem(ctx, rng, bound=3) for _ in range(n))
+            assert A.solve_right(A.apply(x)) == x
+
+
+def test_echelon_dependencies_rebuild_modulo_seeds():
+    rng = random.Random(105)
+    for ctx in FIELDS:
+        for _ in range(8):
+            width = rng.randrange(2, 6)
+            seeds = [[random_elem(ctx, rng, bound=3) for _ in range(width)] for _ in range(rng.randrange(3))]
+            ech = _Echelon(ctx, width)
+            for s in seeds:
+                ech.insert([c.val for c in s])
+            originals = {}
+            for t in range(rng.randrange(1, width + 1)):
+                v = [random_elem(ctx, rng, bound=3) for _ in range(width)]
+                if ech.insert([c.val for c in v], tag=t) is None:
+                    originals[t] = v
+            # a combination of the independent tagged inserts plus seed noise
+            coeffs = {t: random_elem(ctx, rng, bound=3) for t in originals}
+            vec = [ctx.zero] * width
+            for t, a in coeffs.items():
+                vec = [x + a * y for x, y in zip(vec, originals[t])]
+            noise = [ctx.zero] * width
+            for s in seeds:
+                b = random_elem(ctx, rng, bound=3)
+                noise = [x + b * y for x, y in zip(noise, s)]
+            vec = [x + y for x, y in zip(vec, noise)]
+            expected = {t: a.val for t, a in coeffs.items() if not a.is_zero()}
+            assert ech.express([c.val for c in vec]) == expected
+            dep = ech.insert([c.val for c in vec], tag="probe")
+            assert dep == expected
+            rebuilt = list(noise)
+            for t, c in dep.items():
+                rebuilt = [x + ctx.coerce(c) * y for x, y in zip(rebuilt, originals[t])]
+            assert rebuilt == vec
+
+
+def test_frobenius_checks_survive_python_O():
+    script = (
+        "import sys\n"
+        "from centtype import Matrix, VerificationError, exactmat, rationals\n"
+        "orig = exactmat.companion\n"
+        "exactmat.companion = lambda f: orig(f + 1)\n"
+        "try:\n"
+        "    exactmat.frobenius_form(Matrix(rationals(), [[1, 2], [3, 4]]))\n"
+        "except VerificationError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.split()[:2] == ["raised", "1"], proc.stdout + proc.stderr
