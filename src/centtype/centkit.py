@@ -9,7 +9,8 @@ here returns checkable objects:
   * `witness_polynomials` produces p, q with p(X) similar to Y and q(Y)
     similar to X whenever the generalized types agree;
   * `centralizers_conjugate` turns the witness into an explicit
-    conjugator and re-verifies the span identity before reporting;
+    conjugator and re-verifies the span identity before reporting; both
+    share one pipeline that forms each matrix's Frobenius form once;
   * `cent_conjugate_bruteforce` is an independent oracle that searches
     all of GL_n(F_p) for a conjugator, for small instances.
 
@@ -42,13 +43,13 @@ from .errors import (
 from .exactfield import PrimeField, prime_field
 from .exactmat import (
     Matrix,
+    _form_conjugator,
     block_diag,
     companion,
     frobenius_form,
     mat_eval_poly,
     minpoly,
     restrict_to_basis,
-    similar_conjugator,
 )
 from .typealg import CycleType, cycle_type, gentype_matching
 from .upoly import Poly, poly_compose_mod, poly_crt, poly_gcd, poly_xgcd, squarefree_part
@@ -205,8 +206,9 @@ def jordan_chevalley(X):
 # -- witness polynomials --
 
 
-def _component_witness(f, lam, g, rs):
-    """Polynomial sending the class f^lam onto the class g^lam."""
+def _component_witness(f, lam, g, rs, form):
+    """Polynomial sending the class f^lam onto the class g^lam; `form`
+    returns the Frobenius form of each matrix it checks."""
     r, s = rs
     ctx = f.ctx
     x = Poly.x(ctx)
@@ -214,7 +216,7 @@ def _component_witness(f, lam, g, rs):
         return x
     M = block_diag([companion(f**part) for part in lam.parts])
     target = CycleType([(g, lam)])
-    if cycle_type(mat_eval_poly(r, M)) == target:
+    if cycle_type(form(mat_eval_poly(r, M))) == target:
         return r
     mm = f ** lam.parts[0]
     t = poly_compose_mod(s, r, mm)
@@ -227,16 +229,16 @@ def _component_witness(f, lam, g, rs):
     else:
         raise VerificationError("valuation-doubling iteration failed to stabilize")
     pc = (poly_compose_mod(r, sigma, mm) + x - sigma) % mm
-    if cycle_type(mat_eval_poly(pc, M)) != target:
+    if cycle_type(form(mat_eval_poly(pc, M))) != target:
         raise VerificationError("component witness missed the target class")
     return pc
 
 
-def _glue_direction(match):
+def _glue_direction(match, form):
     residues, moduli = [], []
     for (f, lam), (g, _), rs in match:
         mc = f ** lam.parts[0]
-        residues.append(_component_witness(f, lam, g, rs) % mc)
+        residues.append(_component_witness(f, lam, g, rs, form) % mc)
         moduli.append(mc)
     if len(moduli) == 1:
         return residues[0]
@@ -245,6 +247,28 @@ def _glue_direction(match):
 
 def _reverse_match(match):
     return tuple((eb, ea, (rs[1], rs[0])) for ea, eb, rs in match)
+
+
+def _witnesses(X, Y, seed):
+    """The pipeline of `witness_polynomials` and `centralizers_conjugate`:
+    (generalized types of X and Y, (p, q, U) or None when they differ),
+    with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct matrix met
+    in the call (X, Y, p(X), q(Y), component checks) is formed once."""
+    form = lru_cache(maxsize=None)(frobenius_form)
+    gta = cycle_type(form(X), seed=seed).generalized()
+    gtb = cycle_type(form(Y), seed=seed).generalized()
+    match = gentype_matching(gta, gtb)
+    if match is None:
+        return gta, gtb, None
+    p = _glue_direction(match, form)
+    q = _glue_direction(_reverse_match(match), form)
+    pX = mat_eval_poly(p, X)
+    U = _form_conjugator(pX, form(pX), Y, form(Y))
+    if U is None:
+        raise VerificationError("p(X) is not similar to Y")
+    if form(mat_eval_poly(q, Y)).invariant_factors != form(X).invariant_factors:
+        raise VerificationError("q(Y) is not similar to X")
+    return gta, gtb, (p, q, U)
 
 
 def witness_polynomials(X, Y, seed=0):
@@ -258,20 +282,8 @@ def witness_polynomials(X, Y, seed=0):
         raise CtxMismatch("witnesses over different fields")
     if not X.is_square() or X.shape != Y.shape:
         raise SizeMismatch("witnesses need square matrices of equal size")
-    ta = cycle_type(X, seed=seed)
-    tb = cycle_type(Y, seed=seed)
-    match = gentype_matching(ta.generalized(), tb.generalized())
-    if match is None:
-        return None
-    p = _glue_direction(match)
-    q = _glue_direction(_reverse_match(match))
-    fy = frobenius_form(Y).invariant_factors
-    if frobenius_form(mat_eval_poly(p, X)).invariant_factors != fy:
-        raise VerificationError("p(X) is not similar to Y")
-    fx = frobenius_form(X).invariant_factors
-    if frobenius_form(mat_eval_poly(q, Y)).invariant_factors != fx:
-        raise VerificationError("q(Y) is not similar to X")
-    return p, q
+    witness = _witnesses(X, Y, seed)[2]
+    return None if witness is None else witness[:2]
 
 
 # -- conjugacy of centralizer algebras --
@@ -302,19 +314,10 @@ def centralizers_conjugate(X, Y, seed=0):
         raise CtxMismatch("conjugacy over different fields")
     if not X.is_square() or X.shape != Y.shape:
         raise SizeMismatch("conjugacy needs square matrices of equal size")
-    ta = cycle_type(X, seed=seed)
-    tb = cycle_type(Y, seed=seed)
-    gta, gtb = ta.generalized(), tb.generalized()
-    match = gentype_matching(gta, gtb)
-    if match is None:
+    gta, gtb, witness = _witnesses(X, Y, seed)
+    if witness is None:
         return ConjugacyCertificate(False, gta, gtb)
-    p = _glue_direction(match)
-    q = _glue_direction(_reverse_match(match))
-    U = similar_conjugator(mat_eval_poly(p, X), Y)
-    if U is None:
-        raise VerificationError("p(X) is not similar to Y")
-    if frobenius_form(mat_eval_poly(q, Y)).invariant_factors != frobenius_form(X).invariant_factors:
-        raise VerificationError("q(Y) is not similar to X")
+    p, q, U = witness
     Uinv = U.inverse()
     bx = centralizer_basis(X)
     by = centralizer_basis(Y)

@@ -6,7 +6,8 @@ permutation centralizers in S_n or A_n), verify (named acceptance
 suites).  Machine-readable JSON goes to stdout, always, including
 error objects; human diagnostics go to stderr.  Exit codes: 0 for
 success or a positive verdict, 1 for a clean negative verdict, 2 for
-parse errors, 3 for unsupported fields, 4 for other domain errors.
+parse errors, 3 for unsupported fields, 4 for other domain errors, 5
+for any other exception (InternalError, traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .centkit import centralizers_conjugate
 from .errors import ExactAlgebraError, ParseError, UnsupportedField
@@ -151,6 +153,10 @@ def main(argv=None):
             {"error": {"type": type(exc).__name__, "message": str(exc)}}, args.format
         )
         return 4
+    except Exception as exc:
+        traceback.print_exc()
+        _emit({"error": {"type": "InternalError", "message": repr(exc)}}, args.format)
+        return 5
     _emit(out, args.format)
     return code
 

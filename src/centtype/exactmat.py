@@ -17,7 +17,8 @@ polynomial (combining candidate vectors through a coprime lcm split),
 correct it to an honest complement generator, and append its Krylov
 chain to the basis.  Dependency bookkeeping runs through `_Echelon`,
 which remembers how every reduced row decomposes over the tracked
-inserts.
+inserts.  Its polynomial steps need only vectors f(A) u, computed by
+Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
 """
 
 from __future__ import annotations
@@ -84,18 +85,8 @@ class Matrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self):
         return Matrix(self.ctx, zip(*self.rows))
-
-    def trace(self):
-        self._require_square()
-        t = self.ctx.zero
-        for i in range(self.nrows):
-            t = t + self.rows[i][i]
-        return t
 
     def is_zero_matrix(self):
         return all(c.is_zero() for r in self.rows for c in r)
@@ -320,17 +311,22 @@ def block_diag(blocks):
     return Matrix(ctx, rows)
 
 
+def _poly_apply(f, A, u):
+    """f(A) u by Horner's rule on vectors, one `A.apply` per coefficient."""
+    acc = tuple(A.ctx.zero for _ in u)
+    for c in reversed(f.coeffs):
+        acc = tuple(a + c * b for a, b in zip(A.apply(acc), u))
+    return acc
+
+
 def mat_eval_poly(f, A):
-    """f(A) by Horner's rule."""
+    """f(A), whose columns are the vectors f(A) e_i."""
     A._require_square()
     if f.ctx != A.ctx:
         raise SizeMismatch("polynomial and matrix over different fields")
     n = A.nrows
-    acc = Matrix.zero(A.ctx, n)
-    ident = Matrix.identity(A.ctx, n)
-    for c in reversed(f.coeffs):
-        acc = acc * A + c * ident
-    return acc
+    cols = [_poly_apply(f, A, _unit_vec(A.ctx, n, i)) for i in range(n)]
+    return Matrix.from_columns(A.ctx, cols)
 
 
 def matrix_embed(M, L):
@@ -516,12 +512,9 @@ def frobenius_form(A):
                 u, f = e, g
                 continue
             f1, g1 = _lcm_coprime_split(f, g)
-            u = _vadd(
-                mat_eval_poly(f // f1, A).apply(u),
-                mat_eval_poly(g // g1, A).apply(e),
-            )
+            u = _vadd(_poly_apply(f // f1, A, u), _poly_apply(g // g1, A, e))
             f = f1 * g1
-        fu = mat_eval_poly(f, A).apply(u)
+        fu = _poly_apply(f, A, u)
         if chains:
             ech = _Echelon(ctx, n)
             for ci, (_, _, kry) in enumerate(chains):
@@ -537,7 +530,7 @@ def frobenius_form(A):
                 q, r = divmod(gi, f)
                 if not r.is_zero():
                     raise VerificationError("conductor fails to divide a chain coefficient")
-                u = _vsub(u, mat_eval_poly(q, A).apply(v))
+                u = _vsub(u, _poly_apply(q, A, v))
         elif any(not c.is_zero() for c in fu):
             raise VerificationError("minimal polynomial does not annihilate its witness")
         g, chain = _coset_order(A, u, all_krylov)
@@ -580,8 +573,12 @@ def similar_conjugator(A, B):
     """S with S.inverse() * A * S == B, or None if A and B are not similar."""
     if A.ctx != B.ctx or A.shape != B.shape:
         return None
-    fa = frobenius_form(A)
-    fb = frobenius_form(B)
+    return _form_conjugator(A, frobenius_form(A), B, frobenius_form(B))
+
+
+def _form_conjugator(A, fa, B, fb):
+    """S with S.inverse() * A * S == B, built from the Frobenius forms fa
+    of A and fb of B and checked; None when their invariant factors differ."""
     if fa.invariant_factors != fb.invariant_factors:
         return None
     S = fa.transform.inverse() * fb.transform

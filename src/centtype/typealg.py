@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from .errors import CtxMismatch, NotIrreducible, SizeMismatch, VerificationError
 from .exactfield import ExtensionField
-from .exactmat import Matrix, frobenius_form
+from .exactmat import FrobeniusForm, Matrix, frobenius_form
 from .upoly import (
     Poly,
     is_irreducible,
@@ -76,12 +76,6 @@ class Partition:
         if d < 0:
             raise ValueError("negative replication")
         return Partition([p for p in self.parts for _ in range(d)])
-
-    def stretch(self, c):
-        """Each part multiplied by c."""
-        if c <= 0:
-            raise ValueError("stretch factor must be positive")
-        return Partition([p * c for p in self.parts])
 
     def __str__(self):
         return "(" + ", ".join(str(p) for p in self.parts) + ")"
@@ -238,8 +232,8 @@ def cent_dim_formula(t):
 
 
 def cycle_type(X, seed=0):
-    """Cycle type of a square matrix from its invariant factors."""
-    form = frobenius_form(X)
+    """Cycle type, from the invariant factors, of a matrix or its FrobeniusForm."""
+    form = X if isinstance(X, FrobeniusForm) else frobenius_form(X)
     mults = {}
     for dpoly in form.invariant_factors:
         for f, m in poly_factor(dpoly, seed=seed).factors:

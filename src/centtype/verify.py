@@ -11,7 +11,6 @@ order-independent.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +34,7 @@ from .construct import (
     random_partition,
 )
 from .errors import TooLarge, UnknownSuite
-from .exactfield import extension_field, make_field, prime_field, rationals
+from .exactfield import extension_field, make_field, prime_field
 from .exactmat import (
     block_diag,
     companion,
@@ -54,7 +53,6 @@ from .permcent import (
 )
 from .serialize import matrix_to_json
 from .typealg import (
-    Partition,
     cent_dim_formula,
     cent_dim_weight,
     cycle_type,

@@ -240,3 +240,39 @@ def test_certificate_verified_via_bruteforce_f2():
         X = random_matrix(F2, 3, rng)
         Y = random_matrix(F2, 3, rng)
         assert centralizers_conjugate(X, Y).conjugate == cent_conjugate_bruteforce(X, Y)
+
+
+def test_no_matrix_is_formed_twice(monkeypatch):
+    import centtype.centkit
+    import centtype.typealg
+
+    formed = []
+
+    def counted(M):
+        formed.append(M)
+        return frobenius_form(M)
+
+    monkeypatch.setattr(centtype.centkit, "frobenius_form", counted)
+    monkeypatch.setattr(centtype.typealg, "frobenius_form", counted)
+    rng = random.Random(17)
+    X = random_matrix(F5, 4, rng)
+    S = random_invertible(F5, 4, rng)
+    f, g = Poly(Q, [-2, 0, 1]), Poly(Q, [-8, 0, 1])
+    T = random_invertible(Q, 8, rng, bound=3)
+    pairs = [
+        # p = x: Y is a conjugate of X
+        (X, S.inverse() * X * S),
+        # f != g but f ~ g; X is itself the matrix the component witness checks
+        (companion(f), companion(g)),
+        (
+            block_diag([companion(f**2), companion(f), companion(f)]),
+            T.inverse() * block_diag([companion(g**2), companion(g), companion(g)]) * T,
+        ),
+    ]
+    for A, B in pairs:
+        del formed[:]
+        assert centralizers_conjugate(A, B).conjugate
+        assert formed and len(set(formed)) == len(formed)
+        del formed[:]
+        assert witness_polynomials(A, B) is not None
+        assert formed and len(set(formed)) == len(formed)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -123,6 +125,25 @@ def test_exit_code_unsupported_field(tmp_path):
     proc = run_cli("mtype", g)
     assert proc.returncode == 4
     assert json.loads(proc.stdout)["error"]["type"] == "CompositeModulus"
+
+
+def test_exit_code_internal_error(monkeypatch, capsys):
+    from centtype import cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_perm", boom)
+    assert cli.main(["perm", "(1 2)", "(1 2)"]) == 5
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "InternalError"
+    assert "boom" in err["message"]
+    assert "Traceback" in captured.err
+    # argparse's SystemExit is not caught
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["perm"])
+    assert exc.value.code == 2
 
 
 def test_json_errors_go_to_stdout(tmp_path):

@@ -153,12 +153,19 @@ def test_block_diag():
 
 def test_mat_eval_poly():
     rng = random.Random(6)
-    A = random_matrix(F5, 3, rng)
-    f = Poly(F5, [1, 2, 0, 3])
-    g = Poly(F5, [4, 0, 1])
-    assert mat_eval_poly(f, A) * mat_eval_poly(g, A) == mat_eval_poly(f * g, A)
-    assert mat_eval_poly(f + g, A) == mat_eval_poly(f, A) + mat_eval_poly(g, A)
-    assert mat_eval_poly(Poly(F5, [1]), A) == Matrix.identity(F5, 3)
+    for ctx in (F5, Q, F9):
+        A = random_matrix(ctx, 3, rng)
+        f = Poly(ctx, [1, 2, 0, 3])
+        g = Poly(ctx, [4, 0, 1])
+        assert mat_eval_poly(f, A) * mat_eval_poly(g, A) == mat_eval_poly(f * g, A)
+        assert mat_eval_poly(f + g, A) == mat_eval_poly(f, A) + mat_eval_poly(g, A)
+        assert mat_eval_poly(Poly(ctx, [1]), A) == Matrix.identity(ctx, 3)
+        assert mat_eval_poly(Poly.zero(ctx), A) == Matrix.zero(ctx, 3)
+        for h in (f, g, Poly(ctx, [random_elem(ctx, rng) for _ in range(5)])):
+            powers = Matrix.zero(ctx, 3)
+            for k, c in enumerate(h.coeffs):
+                powers = powers + c * A**k
+            assert mat_eval_poly(h, A) == powers
 
 
 def test_frobenius_form_fixture():

@@ -12,6 +12,7 @@ from centtype import (
     block_diag,
     cycle_type,
     dominance_leq,
+    frobenius_form,
     generalized_type,
     gentype_equal,
     gentype_matching,
@@ -124,6 +125,8 @@ def test_cycle_type_similarity_invariant():
     for _ in range(5):
         U = random_invertible(F5, M.nrows, rng)
         assert cycle_type(U * M * U.inverse()) == cycle_type(M)
+    # the cycle type reads the same off the matrix's Frobenius form
+    assert cycle_type(frobenius_form(M)) == cycle_type(M)
 
 
 def test_green_type_collapses_over_finite_fields():
