@@ -80,7 +80,8 @@ def _vectorize(M):
 
 def _span_rref(ctx, mats):
     """Canonical row-space basis of a list of vectorized matrices."""
-    return Matrix(ctx, [_vectorize(M) for M in mats]).rowspace_rref()
+    vecs = [[c for row in M._vals for c in row] for M in mats]
+    return Matrix._from_vals(ctx, vecs).rowspace_rref()
 
 
 def centralizer_basis(X):
@@ -89,17 +90,18 @@ def centralizer_basis(X):
         raise NotSquare("%dx%d matrix" % X.shape)
     ctx = X.ctx
     n = X.nrows
-    zero = ctx.zero
+    xv = X._vals
+    zero, add, sub = ctx.zero.val, ctx._add, ctx._sub
     rows = []
     for i in range(n):
         for j in range(n):
             row = [zero] * (n * n)
             for k in range(n):
-                row[k * n + j] = row[k * n + j] + X.rows[i][k]
+                row[k * n + j] = add(row[k * n + j], xv[i][k])
             for l in range(n):
-                row[i * n + l] = row[i * n + l] - X.rows[l][j]
+                row[i * n + l] = sub(row[i * n + l], xv[l][j])
             rows.append(row)
-    kernel = Matrix(ctx, rows).kernel()
+    kernel = Matrix._from_vals(ctx, rows).kernel()
     mats = tuple(
         Matrix(ctx, [vec[r * n : (r + 1) * n] for r in range(n)]) for vec in kernel
     )

@@ -573,7 +573,7 @@ def field_from_descriptor(d):
         return rationals()
     if kind == "Fp":
         p = d.get("p")
-        if not isinstance(p, int):
+        if isinstance(p, bool) or not isinstance(p, int):
             raise ParseError("bad prime in descriptor %r" % (d,))
         return prime_field(p)
     if kind == "ext":

@@ -5,11 +5,18 @@ top of the usual arithmetic the module provides reduced row echelon
 form, kernels, inverses, determinants, and `frobenius_form`, which
 computes invariant factors together with an explicit change of basis.
 
-All elimination runs through `_Echelon`, which works on raw field
-payloads (ints mod p, Fractions, extension tuples) through the context's
-`_add/_sub/_mul/_neg/_inv` and boxes nothing.  `Matrix.rref` and
-`Matrix.det` insert the rows into one; `kernel`, `inverse`,
-`solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
+Every matrix keeps its entries twice: boxed as FieldElem rows (`rows`)
+and as raw field payloads (ints mod p, Fractions, extension tuples) in
+`_vals`.  Products and elimination run on the payloads through the
+context's `_add/_sub/_mul/_neg/_inv` and box nothing: all elimination
+runs through `_Echelon`, and every matrix-vector and matrix-matrix
+product through `_matvec`.  Values are boxed once, at the API boundary:
+results computed here are built by `Matrix._from_vals`, which boxes
+canonical payloads without coercing them again, while the public
+constructor and `Matrix.apply` coerce and check what they are given.
+`Matrix.rref` and `Matrix.det` insert the rows into one echelon;
+`kernel`, `inverse`, `solve_right`, `rank` and `rowspace_rref` read
+`Matrix.rref`.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
@@ -19,6 +26,8 @@ chain to the basis.  Dependency bookkeeping runs through `_Echelon`,
 which remembers how every reduced row decomposes over the tracked
 inserts.  Its polynomial steps need only vectors f(A) u, computed by
 Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
+The Krylov chains, unit vectors and corrected generators stay payload
+lists throughout and are boxed once, when the transform is built.
 """
 
 from __future__ import annotations
@@ -26,13 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSquare, SingularMatrix, SizeMismatch, VerificationError
+from .exactfield import FieldElem
 from .upoly import Poly
 
 
 class Matrix:
-    """Immutable matrix over a field context."""
+    """Immutable matrix over a field context: FieldElem `rows`, and the
+    same entries as raw payloads in `_vals`."""
 
-    __slots__ = ("ctx", "rows")
+    __slots__ = ("ctx", "rows", "_vals")
 
     def __init__(self, ctx, rows):
         rs = tuple(tuple(ctx.coerce(c) for c in row) for row in rows)
@@ -43,19 +54,31 @@ class Matrix:
             raise SizeMismatch("ragged rows")
         self.ctx = ctx
         self.rows = rs
+        self._vals = tuple(tuple(c.val for c in r) for r in rs)
+
+    @classmethod
+    def _from_vals(cls, ctx, vals):
+        """Matrix from equal-length rows of canonical payloads of ctx,
+        boxed once and not coerced: for results computed here."""
+        m = object.__new__(cls)
+        m.ctx = ctx
+        m._vals = tuple(map(tuple, vals))
+        if not m._vals or not m._vals[0]:
+            raise SizeMismatch("matrices must have at least one row and column")
+        m.rows = tuple(tuple(FieldElem(ctx, v) for v in r) for r in m._vals)
+        return m
 
     # -- constructors --
 
     @classmethod
     def identity(cls, ctx, n):
-        one, zero = ctx.one, ctx.zero
-        return cls(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one, zero = ctx.one.val, ctx.zero.val
+        return cls._from_vals(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, ctx, n, m=None):
         m = n if m is None else m
-        z = ctx.zero
-        return cls(ctx, [[z] * m for _ in range(n)])
+        return cls._from_vals(ctx, [[ctx.zero.val] * m for _ in range(n)])
 
     @classmethod
     def from_columns(cls, ctx, cols):
@@ -86,7 +109,7 @@ class Matrix:
         return self.rows[i][j]
 
     def transpose(self):
-        return Matrix(self.ctx, zip(*self.rows))
+        return Matrix._from_vals(self.ctx, zip(*self._vals))
 
     def is_zero_matrix(self):
         return all(c.is_zero() for r in self.rows for c in r)
@@ -117,19 +140,9 @@ class Matrix:
                 raise SizeMismatch("product over different fields")
             if self.ncols != other.nrows:
                 raise SizeMismatch("product of %s and %s" % (self.shape, other.shape))
-            bt = tuple(zip(*other.rows))
-            zero = self.ctx.zero
-            out = []
-            for ra in self.rows:
-                row = []
-                for cb in bt:
-                    s = zero
-                    for a, b in zip(ra, cb):
-                        if not (a.is_zero() or b.is_zero()):
-                            s = s + a * b
-                    row.append(s)
-                out.append(row)
-            return Matrix(self.ctx, out)
+            ctx = self.ctx
+            cols = [_matvec(ctx, self._vals, col) for col in zip(*other._vals)]
+            return Matrix._from_vals(ctx, zip(*cols))
         try:
             c = self.ctx.coerce(other)
         except (TypeError, ValueError):
@@ -160,28 +173,21 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of ncols entries."""
-        vec = [self.ctx.coerce(v) for v in vec]
+        ctx = self.ctx
+        vec = [ctx.coerce(v).val for v in vec]
         if len(vec) != self.ncols:
             raise SizeMismatch("vector of length %d under %s" % (len(vec), self.shape))
-        zero = self.ctx.zero
-        out = []
-        for r in self.rows:
-            s = zero
-            for a, b in zip(r, vec):
-                if not (a.is_zero() or b.is_zero()):
-                    s = s + a * b
-            out.append(s)
-        return tuple(out)
+        return tuple(FieldElem(ctx, v) for v in _matvec(ctx, self._vals, vec))
 
     # -- equality and display --
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
-            return other.ctx == self.ctx and other.rows == self.rows
+            return other.ctx == self.ctx and other._vals == self._vals
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx, self.rows))
+        return hash((self.ctx, self._vals))
 
     def key(self):
         return tuple(tuple(c.key() for c in r) for r in self.rows)
@@ -197,15 +203,15 @@ class Matrix:
     def rref(self):
         """(reduced row echelon Matrix, pivot column tuple)."""
         ech = _Echelon(self.ctx, self.ncols)
-        for r in self.rows:
-            ech.insert([c.val for c in r])
+        for r in self._vals:
+            ech.insert(r)
         stored = sorted(ech.rows, key=lambda e: e[0])
         zero = self.ctx.zero.val
         rows = [[zero] * self.ncols for _ in range(self.nrows)]
         for dense, (_, row, _) in zip(rows, stored):
             for i, v in row.items():
                 dense[i] = v
-        return Matrix(self.ctx, rows), tuple(p for p, _, _ in stored)
+        return Matrix._from_vals(self.ctx, rows), tuple(p for p, _, _ in stored)
 
     def rank(self):
         return len(self.rref()[1])
@@ -216,8 +222,8 @@ class Matrix:
         self._require_square()
         ctx = self.ctx
         ech = _Echelon(ctx, self.ncols)
-        for r in self.rows:
-            if ech.insert([c.val for c in r]) is not None:
+        for r in self._vals:
+            if ech.insert(r) is not None:
                 return ctx.zero
         det = ctx.one.val
         for lead in ech.leads:
@@ -226,17 +232,17 @@ class Matrix:
         inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1 :])
         if inversions % 2:
             det = ctx._neg(det)
-        return ctx.coerce(det)
+        return FieldElem(ctx, det)
 
     def inverse(self):
         self._require_square()
         n = self.nrows
         ident = Matrix.identity(self.ctx, n)
-        aug = Matrix(self.ctx, [list(a) + list(b) for a, b in zip(self.rows, ident.rows)])
+        aug = Matrix._from_vals(self.ctx, [a + b for a, b in zip(self._vals, ident._vals)])
         red, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise SingularMatrix("matrix of rank %d" % len([p for p in pivots if p < n]))
-        return Matrix(self.ctx, [r[n:] for r in red.rows])
+        return Matrix._from_vals(self.ctx, [r[n:] for r in red._vals])
 
     def kernel(self):
         """Basis of the right null space as a tuple of vectors."""
@@ -259,10 +265,10 @@ class Matrix:
 
     def solve_right(self, rhs):
         """One solution x of self * x = rhs, or None if inconsistent."""
-        rhs = [self.ctx.coerce(v) for v in rhs]
+        rhs = [self.ctx.coerce(v).val for v in rhs]
         if len(rhs) != self.nrows:
             raise SizeMismatch("rhs of length %d for %s" % (len(rhs), self.shape))
-        aug = Matrix(self.ctx, [list(r) + [b] for r, b in zip(self.rows, rhs)])
+        aug = Matrix._from_vals(self.ctx, [r + (b,) for r, b in zip(self._vals, rhs)])
         red, pivots = aug.rref()
         if pivots and pivots[-1] == self.ncols:
             return None
@@ -279,15 +285,15 @@ def companion(f):
     if n < 1:
         raise SizeMismatch("companion matrix needs degree >= 1")
     ctx = f.ctx
-    zero, one = ctx.zero, ctx.one
+    zero, one = ctx.zero.val, ctx.one.val
     rows = []
     for i in range(n):
         row = [zero] * n
         if i > 0:
             row[i - 1] = one
-        row[n - 1] = -f.coeff(i)
+        row[n - 1] = ctx._neg(f.coeff(i).val)
         rows.append(row)
-    return Matrix(ctx, rows)
+    return Matrix._from_vals(ctx, rows)
 
 
 def block_diag(blocks):
@@ -297,25 +303,43 @@ def block_diag(blocks):
         raise SizeMismatch("no blocks")
     ctx = blocks[0].ctx
     n = sum(b.nrows for b in blocks)
-    zero = ctx.zero
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[ctx.zero.val] * n for _ in range(n)]
     off = 0
     for b in blocks:
         b._require_square()
         if b.ctx != ctx:
             raise SizeMismatch("blocks over different fields")
-        for i in range(b.nrows):
-            for j in range(b.nrows):
-                rows[off + i][off + j] = b.rows[i][j]
+        for i, r in enumerate(b._vals):
+            rows[off + i][off : off + b.nrows] = r
         off += b.nrows
-    return Matrix(ctx, rows)
+    return Matrix._from_vals(ctx, rows)
+
+
+def _matvec(ctx, rows, vec):
+    """Payload rows times a payload vector, skipping zero entries: the
+    package's one matrix-vector product loop."""
+    zero, add, mul = ctx.zero.val, ctx._add, ctx._mul
+    nz = [(j, b) for j, b in enumerate(vec) if b != zero]
+    out = []
+    for row in rows:
+        s = zero
+        for j, b in nz:
+            a = row[j]
+            if a != zero:
+                s = add(s, mul(a, b))
+        out.append(s)
+    return out
 
 
 def _poly_apply(f, A, u):
-    """f(A) u by Horner's rule on vectors, one `A.apply` per coefficient."""
-    acc = tuple(A.ctx.zero for _ in u)
+    """f(A) u for a payload vector u by Horner's rule, one `_matvec` per
+    coefficient; a payload list."""
+    ctx = A.ctx
+    add, mul = ctx._add, ctx._mul
+    acc = [ctx.zero.val] * len(u)
     for c in reversed(f.coeffs):
-        acc = tuple(a + c * b for a, b in zip(A.apply(acc), u))
+        c = c.val
+        acc = [add(a, mul(c, b)) for a, b in zip(_matvec(ctx, A._vals, acc), u)]
     return acc
 
 
@@ -326,7 +350,7 @@ def mat_eval_poly(f, A):
         raise SizeMismatch("polynomial and matrix over different fields")
     n = A.nrows
     cols = [_poly_apply(f, A, _unit_vec(A.ctx, n, i)) for i in range(n)]
-    return Matrix.from_columns(A.ctx, cols)
+    return Matrix._from_vals(A.ctx, zip(*cols))
 
 
 def matrix_embed(M, L):
@@ -338,7 +362,8 @@ class _Echelon:
     """Row space in reduced echelon form over raw field payloads, with
     dependency bookkeeping.  This is the package's one elimination loop.
 
-    Vectors go in as lists of payloads (`[c.val for c in vec]`).  Untracked
+    Vectors go in as sequences of payloads (a `Matrix`'s `_vals` rows or
+    the payload vectors of `frobenius_form`).  Untracked
     inserts are seeds; tracked inserts carry a tag.  Every stored row is
     kept sparse as {column: payload}, is normalised to 1 at its pivot, and
     remembers its expression over the tagged originals modulo the seed
@@ -426,34 +451,28 @@ class FrobeniusForm:
 
 
 def _unit_vec(ctx, n, i):
-    v = [ctx.zero] * n
-    v[i] = ctx.one
-    return tuple(v)
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    """The i-th unit vector of length n as a payload list."""
+    v = [ctx.zero.val] * n
+    v[i] = ctx.one.val
+    return v
 
 
 def _coset_order(A, u, seeds):
-    """Order of the coset of u in V / span(seeds) as a module over K[x].
+    """Order of the coset of u in V / span(seeds) as a module over K[x],
+    for payload vectors u and seeds.
 
     Returns (f, chain): f monic with f(A)u in the span, chain the Krylov
-    vectors u, Au, ..., A^(deg f - 1) u.
+    payload vectors u, Au, ..., A^(deg f - 1) u.
     """
     ctx = A.ctx
     ech = _Echelon(ctx, A.nrows)
     for s in seeds:
-        ech.insert([c.val for c in s])
+        ech.insert(s)
     chain = []
     vec = u
     k = 0
     while True:
-        dep = ech.insert([c.val for c in vec], tag=k)
+        dep = ech.insert(vec, tag=k)
         if dep is not None:
             coeffs = [ctx.zero.val] * (k + 1)
             for j, c in dep.items():
@@ -461,7 +480,7 @@ def _coset_order(A, u, seeds):
             coeffs[k] = ctx.one.val
             return Poly(ctx, coeffs), chain
         chain.append(vec)
-        vec = A.apply(vec)
+        vec = _matvec(ctx, A._vals, vec)
         k += 1
 
 
@@ -493,6 +512,7 @@ def frobenius_form(A):
     A._require_square()
     ctx = A.ctx
     n = A.nrows
+    zero = ctx.zero.val
     chains = []  # (generator, invariant factor, Krylov chain), largest first
     all_krylov = []
     dim = 0
@@ -512,26 +532,27 @@ def frobenius_form(A):
                 u, f = e, g
                 continue
             f1, g1 = _lcm_coprime_split(f, g)
-            u = _vadd(_poly_apply(f // f1, A, u), _poly_apply(g // g1, A, e))
+            pair = zip(_poly_apply(f // f1, A, u), _poly_apply(g // g1, A, e))
+            u = [ctx._add(a, b) for a, b in pair]
             f = f1 * g1
         fu = _poly_apply(f, A, u)
         if chains:
             ech = _Echelon(ctx, n)
             for ci, (_, _, kry) in enumerate(chains):
                 for j, kv in enumerate(kry):
-                    ech.insert([c.val for c in kv], tag=(ci, j))
-            expr = ech.express([c.val for c in fu])
+                    ech.insert(kv, tag=(ci, j))
+            expr = ech.express(fu)
             if expr is None:
                 raise VerificationError("conductor image escaped the accumulated span")
             for ci, (v, _, kry) in enumerate(chains):
-                gi = Poly(ctx, [expr.get((ci, j), ctx.zero.val) for j in range(len(kry))])
+                gi = Poly(ctx, [expr.get((ci, j), zero) for j in range(len(kry))])
                 if gi.is_zero():
                     continue
                 q, r = divmod(gi, f)
                 if not r.is_zero():
                     raise VerificationError("conductor fails to divide a chain coefficient")
-                u = _vsub(u, _poly_apply(q, A, v))
-        elif any(not c.is_zero() for c in fu):
+                u = [ctx._sub(a, b) for a, b in zip(u, _poly_apply(q, A, v))]
+        elif any(c != zero for c in fu):
             raise VerificationError("minimal polynomial does not annihilate its witness")
         g, chain = _coset_order(A, u, all_krylov)
         if not (g - f).is_zero() or len(chain) != f.degree:
@@ -547,7 +568,7 @@ def frobenius_form(A):
     cols = []
     for _, _, chain in chains:
         cols.extend(chain)
-    Q = Matrix.from_columns(ctx, cols)
+    Q = Matrix._from_vals(ctx, zip(*cols))
     P = Q.inverse()
     F = block_diag([companion(f) for f in factors])
     if P * A * Q != F:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, SizeMismatch
 from .exactfield import elem_from_json, elem_to_json, make_field
 from .exactmat import Matrix, companion
 from .typealg import Partition
@@ -76,11 +76,11 @@ def matrix_from_json(obj):
     if "companion" in obj:
         return companion(poly_from_json(ctx, obj["companion"]))
     rows = obj.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ParseError("matrix JSON needs a nonempty 'rows' array")
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ParseError("matrix JSON needs a nonempty 'rows' array of arrays")
     try:
         return Matrix(ctx, [[elem_from_json(ctx, v) for v in row] for row in rows])
-    except TypeError as exc:
+    except (TypeError, SizeMismatch) as exc:
         raise ParseError("bad matrix rows: %s" % exc) from exc
 
 

@@ -195,3 +195,54 @@ def test_pretty_format(tmp_path):
     assert proc.returncode == 0
     assert "\n  " in proc.stdout  # indented
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_ragged_rows_are_parse_errors(tmp_path):
+    for rows in ([[1, 2], [3]], [[]], [[1], 2]):
+        f = write_matrix(tmp_path, "m.json", {"field": "F5", "rows": rows})
+        proc = run_cli("mtype", f)
+        assert proc.returncode == 2, rows
+        assert json.loads(proc.stdout)["error"]["type"] == "ParseError"
+    # a well-formed but non-square matrix is a domain error
+    f = write_matrix(tmp_path, "m.json", {"field": "F5", "rows": [[1, 2]]})
+    proc = run_cli("mtype", f)
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["error"]["type"] == "NotSquare"
+
+
+_MR_BOUND = 3317044064679887385961981
+
+FUZZ = [
+    ("ragged rows", {"field": "F5", "rows": [[1, 2], [3]]}, "ParseError"),
+    ("empty row", {"field": "F5", "rows": [[]]}, "ParseError"),
+    ("no rows", {"field": "F5", "rows": []}, "ParseError"),
+    ("string row", {"field": "Q", "rows": ["12"]}, "ParseError"),
+    ("bool entry", {"field": "F5", "rows": [[True]]}, "ParseError"),
+    ("bool modulus", {"field": {"kind": "Fp", "p": True}, "rows": [[1]]}, "ParseError"),
+    ("nested entry", {"field": "F5", "rows": [[[1]]]}, "ParseError"),
+    ("nested rational", {"field": "Q", "rows": [[["1/2"]]]}, "ParseError"),
+    ("array document", [[1, 2], [3, 4]], "ParseError"),
+    ("string document", "F5", "ParseError"),
+    ("null document", None, "ParseError"),
+    ("composite modulus", {"field": {"kind": "Fp", "p": 6}, "rows": [[1]]}, "CompositeModulus"),
+    ("modulus at the bound", {"field": {"kind": "Fp", "p": _MR_BOUND}, "rows": [[1]]}, "TooLarge"),
+    ("prime above the bound", {"field": {"kind": "Fp", "p": 2**89 - 1}, "rows": [[1]]}, "TooLarge"),
+    ("Q degree over the cap", {"field": "Q", "companion": "x^25 - 2"}, "UnsupportedField"),
+]
+
+_FUZZ_EXIT = {"ParseError": 2, "UnsupportedField": 3}
+
+
+@pytest.mark.parametrize("doc, error", [c[1:] for c in FUZZ], ids=[c[0] for c in FUZZ])
+def test_cli_fuzz_malformed_and_extreme_inputs(tmp_path, doc, error):
+    f = write_matrix(tmp_path, "m.json", doc)
+    for command in (["mtype", f], ["centconj", f, f]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "centtype.cli"] + command,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode in (2, 3, 4)
+        assert proc.returncode == _FUZZ_EXIT.get(error, 4)
+        assert json.loads(proc.stdout)["error"]["type"] == error

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import os
 import random
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 from centtype import (
+    CtxMismatch,
+    FieldElem,
     Matrix,
     NotSquare,
     Poly,
@@ -24,6 +27,7 @@ from centtype import (
     restrict_to_basis,
 )
 from centtype.construct import random_elem, random_invertible, random_matrix
+from centtype.exactfield import PrimeField
 from centtype.exactmat import _Echelon
 
 Q = rationals()
@@ -375,3 +379,88 @@ def test_frobenius_checks_survive_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.stdout.split()[:2] == ["raised", "1"], proc.stdout + proc.stderr
+
+
+# -- payload products against boxed references --
+
+
+def _boxed_product(A, B):
+    """Rows of A * B as sums of a_ik * b_kj in FieldElem arithmetic."""
+    out = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            s = A.ctx.zero
+            for k in range(A.ncols):
+                s = s + A.rows[i][k] * B.rows[k][j]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def test_payload_products_match_boxed_reference():
+    rng = random.Random(106)
+    F7 = prime_field(7)
+    for ctx in (F2, F5, Q, F9):
+        for _ in range(8):
+            m, k, n = (rng.randrange(1, 5) for _ in range(3))
+            A, B = _rand_matrix(ctx, m, k, rng), _rand_matrix(ctx, k, n, rng)
+            AB = A * B
+            assert AB.shape == (m, n)
+            assert AB.rows == _boxed_product(A, B)
+            v = [random_elem(ctx, rng, bound=3) for _ in range(k)]
+            column = Matrix(ctx, [[c] for c in v])
+            assert A.apply(v) == tuple(r[0] for r in _boxed_product(A, column))
+            with pytest.raises(SizeMismatch):
+                A.apply(v + [ctx.one])
+            with pytest.raises(CtxMismatch):
+                A.apply([F7.one] * k)
+            # internally built matrices box their entries and equal, and
+            # hash like, the public constructor's matrix of the same entries
+            S = random_invertible(ctx, m, rng, bound=3)
+            for M in (AB, A.transpose(), A.rref()[0], S.inverse()):
+                twin = Matrix(ctx, [[c.val for c in r] for r in M.rows])
+                assert M == twin and hash(M) == hash(twin)
+                assert M.rows == twin.rows
+                assert all(isinstance(c, FieldElem) and c.ctx == ctx for r in M.rows for c in r)
+            assert A.transpose().rows == tuple(zip(*A.rows))
+            assert S * S.inverse() == Matrix.identity(ctx, m)
+
+
+def test_products_and_frobenius_form_do_not_recoerce():
+    """Count PrimeField.coerce calls by the first calling module outside
+    exactfield.  A product coerces nothing at all; frobenius_form coerces
+    nothing from exactmat (its polynomial arithmetic still coerces in
+    upoly), and the count repeats exactly."""
+    x = Poly(F5, [0, 1])
+    d1 = x + 1
+    d2 = d1 * (x**2 + 2)
+    d3 = d2 * (x + 3)
+    rng = random.Random(107)
+    U = random_invertible(F5, 8, rng)
+    A = U.inverse() * block_diag([companion(d1), companion(d2), companion(d3)]) * U
+    B = random_matrix(F5, 8, rng)
+    orig = PrimeField.coerce
+    calls = collections.Counter()
+
+    def counting(self, v):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "centtype.exactfield":
+            frame = frame.f_back
+        calls[frame.f_globals.get("__name__")] += 1
+        return orig(self, v)
+
+    PrimeField.coerce = counting
+    try:
+        A * B
+        assert not calls
+        ff = frobenius_form(A)
+        first = dict(calls)
+        calls.clear()
+        again = frobenius_form(A)
+        second = dict(calls)
+    finally:
+        PrimeField.coerce = orig
+    assert ff.invariant_factors == (d1, d2, d3) and again == ff
+    assert "centtype.exactmat" not in first
+    assert first == second
