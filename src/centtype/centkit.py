@@ -79,9 +79,11 @@ def _vectorize(M):
 
 
 def _span_rref(ctx, mats):
-    """Canonical row-space basis of a list of vectorized matrices."""
+    """Canonical row-space basis of a list of vectorized matrices, as
+    payload rows."""
     vecs = [[c for row in M._vals for c in row] for M in mats]
-    return Matrix._from_vals(ctx, vecs).rowspace_rref()
+    red, pivots = Matrix._from_vals(ctx, vecs).rref()
+    return red._vals[: len(pivots)]
 
 
 def centralizer_basis(X):
@@ -101,9 +103,9 @@ def centralizer_basis(X):
             for l in range(n):
                 row[i * n + l] = sub(row[i * n + l], xv[l][j])
             rows.append(row)
-    kernel = Matrix._from_vals(ctx, rows).kernel()
+    kernel = Matrix._from_vals(ctx, rows)._kernel()
     mats = tuple(
-        Matrix(ctx, [vec[r * n : (r + 1) * n] for r in range(n)]) for vec in kernel
+        Matrix._from_vals(ctx, [vec[r * n : (r + 1) * n] for r in range(n)]) for vec in kernel
     )
     return CentralizerBasis(mats)
 

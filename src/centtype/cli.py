@@ -47,7 +47,9 @@ def _load_json_file(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a number over the integer-string digit limit,
+        # or arrays nested deeper than the decoder's recursion limit
         raise ParseError("bad JSON in %s: %s" % (path, exc)) from exc
 
 

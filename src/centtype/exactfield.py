@@ -520,7 +520,11 @@ def make_field(spec):
         if s.startswith("F"):
             body = s[1:].lstrip("_")
             if body.isdigit():
-                return prime_field(int(body))
+                try:
+                    p = int(body)
+                except ValueError as exc:  # over the integer-string digit limit
+                    raise ParseError("prime in field spec too long: %s" % exc) from exc
+                return prime_field(p)
         raise ParseError("unrecognized field spec %r" % spec)
     if isinstance(spec, dict):
         return field_from_descriptor(spec)

@@ -5,18 +5,18 @@ top of the usual arithmetic the module provides reduced row echelon
 form, kernels, inverses, determinants, and `frobenius_form`, which
 computes invariant factors together with an explicit change of basis.
 
-Every matrix keeps its entries twice: boxed as FieldElem rows (`rows`)
-and as raw field payloads (ints mod p, Fractions, extension tuples) in
-`_vals`.  Products and elimination run on the payloads through the
+A matrix keeps its entries as raw field payloads (ints mod p, Fractions,
+extension tuples) in `_vals`; `rows` boxes them as FieldElems on first
+read and keeps the result, which is safe because matrices are immutable.
+Arithmetic, products and elimination run on the payloads through the
 context's `_add/_sub/_mul/_neg/_inv` and box nothing: all elimination
 runs through `_Echelon`, and every matrix-vector and matrix-matrix
-product through `_matvec`.  Values are boxed once, at the API boundary:
-results computed here are built by `Matrix._from_vals`, which boxes
-canonical payloads without coercing them again, while the public
+product through `_matvec`.  Results computed here are built by
+`Matrix._from_vals`, which neither coerces nor boxes, while the public
 constructor and `Matrix.apply` coerce and check what they are given.
 `Matrix.rref` and `Matrix.det` insert the rows into one echelon;
-`kernel`, `inverse`, `solve_right`, `rank` and `rowspace_rref` read
-`Matrix.rref`.
+`kernel` (through the payload loop `_kernel`), `inverse`,
+`solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
@@ -26,8 +26,10 @@ chain to the basis.  Dependency bookkeeping runs through `_Echelon`,
 which remembers how every reduced row decomposes over the tracked
 inserts.  Its polynomial steps need only vectors f(A) u, computed by
 Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
-The Krylov chains, unit vectors and corrected generators stay payload
-lists throughout and are boxed once, when the transform is built.
+Each round scans unit vectors only until they and the accumulated
+chains span V, skipping any unit vector already in that span.  The
+Krylov chains, unit vectors and corrected generators stay payload lists
+throughout, and the transform is built from them with `_from_vals`.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from .upoly import Poly
 
 
 class Matrix:
-    """Immutable matrix over a field context: FieldElem `rows`, and the
-    same entries as raw payloads in `_vals`."""
+    """Immutable matrix over a field context: raw payload rows in `_vals`,
+    boxed as FieldElem `rows` on first read."""
 
-    __slots__ = ("ctx", "rows", "_vals")
+    __slots__ = ("ctx", "_vals", "_rows")
 
     def __init__(self, ctx, rows):
         rs = tuple(tuple(ctx.coerce(c) for c in row) for row in rows)
@@ -53,20 +55,28 @@ class Matrix:
         if any(len(r) != w for r in rs):
             raise SizeMismatch("ragged rows")
         self.ctx = ctx
-        self.rows = rs
+        self._rows = rs
         self._vals = tuple(tuple(c.val for c in r) for r in rs)
 
     @classmethod
     def _from_vals(cls, ctx, vals):
         """Matrix from equal-length rows of canonical payloads of ctx,
-        boxed once and not coerced: for results computed here."""
+        neither coerced nor boxed: for results computed here."""
         m = object.__new__(cls)
         m.ctx = ctx
         m._vals = tuple(map(tuple, vals))
         if not m._vals or not m._vals[0]:
             raise SizeMismatch("matrices must have at least one row and column")
-        m.rows = tuple(tuple(FieldElem(ctx, v) for v in r) for r in m._vals)
+        m._rows = None
         return m
+
+    @property
+    def rows(self):
+        rs = self._rows
+        if rs is None:
+            ctx = self.ctx
+            rs = self._rows = tuple(tuple(FieldElem(ctx, v) for v in r) for r in self._vals)
+        return rs
 
     # -- constructors --
 
@@ -88,11 +98,11 @@ class Matrix:
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self._vals)
 
     @property
     def ncols(self):
-        return len(self.rows[0])
+        return len(self._vals[0])
 
     @property
     def shape(self):
@@ -106,13 +116,14 @@ class Matrix:
             raise NotSquare("%dx%d matrix" % self.shape)
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return FieldElem(self.ctx, self._vals[i][j])
 
     def transpose(self):
         return Matrix._from_vals(self.ctx, zip(*self._vals))
 
     def is_zero_matrix(self):
-        return all(c.is_zero() for r in self.rows for c in r)
+        zero = self.ctx.zero.val
+        return all(v == zero for r in self._vals for v in r)
 
     # -- arithmetic --
 
@@ -121,10 +132,9 @@ class Matrix:
             return NotImplemented
         if other.shape != self.shape or other.ctx != self.ctx:
             raise SizeMismatch("sum of %s and %s matrices" % (self.shape, other.shape))
-        return Matrix(
-            self.ctx,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        add = self.ctx._add
+        rows = zip(self._vals, other._vals)
+        return Matrix._from_vals(self.ctx, [map(add, ra, rb) for ra, rb in rows])
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
@@ -132,7 +142,8 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(self.ctx, [[-c for c in r] for r in self.rows])
+        neg = self.ctx._neg
+        return Matrix._from_vals(self.ctx, [map(neg, r) for r in self._vals])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -143,20 +154,21 @@ class Matrix:
             ctx = self.ctx
             cols = [_matvec(ctx, self._vals, col) for col in zip(*other._vals)]
             return Matrix._from_vals(ctx, zip(*cols))
-        try:
-            c = self.ctx.coerce(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return Matrix(self.ctx, [[c * v for v in r] for r in self.rows])
+        return self._scale(other)
 
     def __rmul__(self, other):
         if isinstance(other, Matrix):
             return NotImplemented
+        return self._scale(other)
+
+    def _scale(self, other):
+        """other * self for a scalar other."""
+        ctx = self.ctx
         try:
-            c = self.ctx.coerce(other)
+            c = ctx.coerce(other).val
         except (TypeError, ValueError):
             return NotImplemented
-        return Matrix(self.ctx, [[c * v for v in r] for r in self.rows])
+        return Matrix._from_vals(ctx, [[ctx._mul(c, v) for v in r] for r in self._vals])
 
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
@@ -190,12 +202,12 @@ class Matrix:
         return hash((self.ctx, self._vals))
 
     def key(self):
-        return tuple(tuple(c.key() for c in r) for r in self.rows)
+        return tuple(tuple(map(self.ctx._key, r)) for r in self._vals)
 
     def __repr__(self):
         return "Matrix(%s, %s)" % (
             self.ctx.short_name(),
-            [[str(c) for c in r] for r in self.rows],
+            [list(map(self.ctx._fmt, r)) for r in self._vals],
         )
 
     # -- elimination --
@@ -246,22 +258,31 @@ class Matrix:
 
     def kernel(self):
         """Basis of the right null space as a tuple of vectors."""
+        ctx = self.ctx
+        return tuple(tuple(FieldElem(ctx, v) for v in vec) for vec in self._kernel())
+
+    def _kernel(self):
+        """Basis of the right null space as payload lists, one per free
+        column of the reduced form."""
         red, pivots = self.rref()
+        ctx = self.ctx
+        zero, neg = ctx.zero.val, ctx._neg
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
         out = []
-        for j in free:
-            vec = [self.ctx.zero] * self.ncols
-            vec[j] = self.ctx.one
+        for j in range(self.ncols):
+            if j in pivset:
+                continue
+            vec = [zero] * self.ncols
+            vec[j] = ctx.one.val
             for r, pc in enumerate(pivots):
-                vec[pc] = -red.rows[r][j]
-            out.append(tuple(vec))
-        return tuple(out)
+                vec[pc] = neg(red._vals[r][j])
+            out.append(vec)
+        return out
 
     def rowspace_rref(self):
         """Canonical basis of the row space (zero rows dropped)."""
         red, pivots = self.rref()
-        return tuple(red.rows[i] for i in range(len(pivots)))
+        return red.rows[: len(pivots)]
 
     def solve_right(self, rhs):
         """One solution x of self * x = rhs, or None if inconsistent."""
@@ -274,7 +295,7 @@ class Matrix:
             return None
         x = [self.ctx.zero] * self.ncols
         for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
+            x[pc] = FieldElem(self.ctx, red._vals[r][self.ncols])
         return tuple(x)
 
 
@@ -291,7 +312,7 @@ def companion(f):
         row = [zero] * n
         if i > 0:
             row[i - 1] = one
-        row[n - 1] = ctx._neg(f.coeff(i).val)
+        row[n - 1] = ctx._neg(f._vals[i])
         rows.append(row)
     return Matrix._from_vals(ctx, rows)
 
@@ -337,8 +358,7 @@ def _poly_apply(f, A, u):
     ctx = A.ctx
     add, mul = ctx._add, ctx._mul
     acc = [ctx.zero.val] * len(u)
-    for c in reversed(f.coeffs):
-        c = c.val
+    for c in reversed(f._vals):
         acc = [add(a, mul(c, b)) for a, b in zip(_matvec(ctx, A._vals, acc), u)]
     return acc
 
@@ -478,7 +498,7 @@ def _coset_order(A, u, seeds):
             for j, c in dep.items():
                 coeffs[j] = ctx._neg(c)
             coeffs[k] = ctx.one.val
-            return Poly(ctx, coeffs), chain
+            return Poly._from_vals(ctx, coeffs), chain
         chain.append(vec)
         vec = _matvec(ctx, A._vals, vec)
         k += 1
@@ -518,11 +538,21 @@ def frobenius_form(A):
     dim = 0
     while dim < n:
         u, f = None, None
+        # span of all_krylov and of the Krylov chains of the unit vectors
+        # scanned this round: a unit vector inside it lies in the module
+        # the scanned ones generate modulo all_krylov, so its order divides f
+        scanned = _Echelon(ctx, n)
+        for s in all_krylov:
+            scanned.insert(s)
         for i in range(n):
+            if len(scanned.rows) == n:
+                break
             e = _unit_vec(ctx, n, i)
-            g, _ = _coset_order(A, e, all_krylov)
-            if g.degree == 0:
+            if scanned.express(e) is not None:
                 continue
+            g, chain = _coset_order(A, e, all_krylov)
+            for v in chain:
+                scanned.insert(v)
             if u is None:
                 u, f = e, g
                 continue
@@ -545,7 +575,7 @@ def frobenius_form(A):
             if expr is None:
                 raise VerificationError("conductor image escaped the accumulated span")
             for ci, (v, _, kry) in enumerate(chains):
-                gi = Poly(ctx, [expr.get((ci, j), zero) for j in range(len(kry))])
+                gi = Poly._from_vals(ctx, [expr.get((ci, j), zero) for j in range(len(kry))])
                 if gi.is_zero():
                     continue
                 q, r = divmod(gi, f)

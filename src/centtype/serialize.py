@@ -5,6 +5,13 @@ the element encoding of their field ("a/b" strings over Q, residues
 over F_p, coefficient vectors over extensions).  Matrices carry their
 field descriptor.  A small text form like "x^2 - 2" is accepted for
 polynomials over Q and prime fields.
+
+Input polynomials (text or coefficient arrays) are capped at degree
+`MAX_INPUT_DEGREE`, checked before any coefficient list is built: a
+companion matrix of degree d has d^2 entries, so without the cap a
+document of a few bytes such as {"companion": "x^100000"} would exhaust
+memory.  A larger degree raises TooLarge; a number too long for Python's
+integer-string conversion limit raises ParseError.
 """
 
 from __future__ import annotations
@@ -12,13 +19,22 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError, SizeMismatch
+from .errors import ParseError, SizeMismatch, TooLarge
 from .exactfield import elem_from_json, elem_to_json, make_field
 from .exactmat import Matrix, companion
 from .typealg import Partition
 from .upoly import Poly
 
 _TERM = re.compile(r"^(-)?(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?$")
+
+MAX_INPUT_DEGREE = 512
+
+
+def _check_degree(degree):
+    if degree > MAX_INPUT_DEGREE:
+        raise TooLarge(
+            "input polynomial of degree %d exceeds the cap %d" % (degree, MAX_INPUT_DEGREE)
+        )
 
 
 def parse_poly_text(ctx, text):
@@ -37,12 +53,16 @@ def parse_poly_text(ctx, text):
         sign, digits, xpart, exp_s = m.groups()
         if digits is None and xpart is None:
             raise ParseError("bad polynomial term %r in %r" % (term, text))
-        coef = Fraction(digits) if digits is not None else Fraction(1)
+        try:
+            coef = Fraction(digits) if digits is not None else Fraction(1)
+            exp = 0 if xpart is None else (1 if exp_s is None else int(exp_s))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError("bad number in polynomial text: %s" % exc) from exc
         if sign:
             coef = -coef
-        exp = 0 if xpart is None else (1 if exp_s is None else int(exp_s))
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     top = max(coeffs)
+    _check_degree(top)
     vals = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
     try:
         return Poly(ctx, [ctx.elem(v) for v in vals])
@@ -58,6 +78,7 @@ def poly_from_json(ctx, val):
     if isinstance(val, str):
         return parse_poly_text(ctx, val)
     if isinstance(val, (list, tuple)):
+        _check_degree(len(val) - 1)
         return Poly(ctx, [elem_from_json(ctx, v) for v in val])
     raise ParseError("polynomial must be a coefficient array or text, got %r" % (val,))
 

@@ -1,7 +1,12 @@
 """Univariate polynomials over an exact field context.
 
 A Poly is an immutable coefficient tuple (constant term first) over one
-FieldCtx.  The module provides the arithmetic the rest of the package
+FieldCtx.  Like `Matrix`, it keeps its coefficients as raw field payloads
+(`_vals`) and runs its arithmetic on them through the context's
+`_add/_sub/_mul/_neg/_inv`; results are built by `Poly._from_vals`, which
+neither coerces nor boxes, and `coeffs` boxes the payloads as FieldElems
+on first read.  The public constructor coerces what it is given.  The
+module provides the arithmetic the rest of the package
 leans on: gcd/xgcd, modular composition, CRT, squarefree decomposition,
 full factorization over Q and over finite fields (including extension
 towers over F_p), and root-finding inside a named extension.
@@ -50,30 +55,52 @@ from .exactfield import (
 
 
 class Poly:
-    """Dense univariate polynomial over a field context."""
+    """Dense univariate polynomial over a field context: canonical field
+    payloads in `_vals` (constant term first, no trailing zeros), boxed
+    as FieldElem `coeffs` on first read."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "_vals", "_coeffs")
 
     def __init__(self, ctx, coeffs=()):
-        cs = [ctx.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
+        self._init(ctx, [ctx.coerce(c).val for c in coeffs])
+
+    @classmethod
+    def _from_vals(cls, ctx, vals):
+        """Poly from canonical payloads of ctx, trailing zeros stripped,
+        neither coerced nor boxed: for results computed here."""
+        p = object.__new__(cls)
+        p._init(ctx, list(vals))
+        return p
+
+    def _init(self, ctx, vals):
+        zero = ctx.zero.val
+        while vals and vals[-1] == zero:
+            vals.pop()
         self.ctx = ctx
-        self.coeffs = tuple(cs)
+        self._vals = tuple(vals)
+        self._coeffs = None
+
+    @property
+    def coeffs(self):
+        cs = self._coeffs
+        if cs is None:
+            ctx = self.ctx
+            cs = self._coeffs = tuple(FieldElem(ctx, v) for v in self._vals)
+        return cs
 
     # -- constructors --
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, ())
+        return cls._from_vals(ctx, ())
 
     @classmethod
     def one(cls, ctx):
-        return cls(ctx, (1,))
+        return cls._from_vals(ctx, (ctx.one.val,))
 
     @classmethod
     def x(cls, ctx):
-        return cls(ctx, (0, 1))
+        return cls._from_vals(ctx, (ctx.zero.val, ctx.one.val))
 
     @classmethod
     def constant(cls, ctx, c):
@@ -83,33 +110,34 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._vals) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._vals
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0].is_one()
+        return len(self._vals) == 1 and self._vals[0] == self.ctx.one.val
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self._vals:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElem(self.ctx, self._vals[-1])
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1].is_one()
+        return bool(self._vals) and self._vals[-1] == self.ctx.one.val
 
     def monic(self):
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         if self.is_monic():
             return self
-        inv = self.lc.inverse()
-        return Poly(self.ctx, [c * inv for c in self.coeffs])
+        ctx = self.ctx
+        inv = ctx._inv(self._vals[-1])
+        return Poly._from_vals(ctx, [ctx._mul(c, inv) for c in self._vals])
 
     def coeff(self, i):
-        return self.coeffs[i] if i <= self.degree else self.ctx.zero
+        return FieldElem(self.ctx, self._vals[i]) if i <= self.degree else self.ctx.zero
 
     # -- ring operations --
 
@@ -123,17 +151,21 @@ class Poly:
         except (TypeError, ValueError):
             return None
 
+    def _zip(self, other, op):
+        """op applied coefficientwise, the shorter side padded with zeros."""
+        a, b = self._vals, other._vals
+        pad = (self.ctx.zero.val,) * abs(len(a) - len(b))
+        if len(a) < len(b):
+            a += pad
+        else:
+            b += pad
+        return Poly._from_vals(self.ctx, map(op, a, b))
+
     def __add__(self, other):
         other = self._same(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.ctx, out)
+        return self._zip(other, self.ctx._add)
 
     __radd__ = __add__
 
@@ -141,34 +173,36 @@ class Poly:
         other = self._same(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._zip(other, self.ctx._sub)
 
     def __rsub__(self, other):
         other = self._same(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._zip(self, self.ctx._sub)
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        return Poly._from_vals(self.ctx, map(self.ctx._neg, self._vals))
 
     def __mul__(self, other):
-        if isinstance(other, FieldElem) and other.ctx == self.ctx:
-            return Poly(self.ctx, [c * other for c in self.coeffs])
+        ctx = self.ctx
+        if isinstance(other, FieldElem) and other.ctx == ctx:
+            c = other.val
+            return Poly._from_vals(ctx, [ctx._mul(v, c) for v in self._vals])
         other = self._same(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._vals, other._vals
         if not a or not b:
-            return Poly.zero(self.ctx)
-        zero = self.ctx.zero
+            return Poly.zero(ctx)
+        zero, add, mul = ctx.zero.val, ctx._add, ctx._mul
         out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x.is_zero():
+            if x == zero:
                 continue
             for j, y in enumerate(b):
-                out[i + j] = out[i + j] + x * y
-        return Poly(self.ctx, out)
+                out[i + j] = add(out[i + j], mul(x, y))
+        return Poly._from_vals(ctx, out)
 
     __rmul__ = __mul__
 
@@ -190,20 +224,22 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
+        ctx = self.ctx
         if self.degree < other.degree:
-            return Poly.zero(self.ctx), self
-        inv = other.lc.inverse()
-        r = list(self.coeffs)
-        b = other.coeffs
-        q = [self.ctx.zero] * (len(r) - len(b) + 1)
+            return Poly.zero(ctx), self
+        zero, sub, mul = ctx.zero.val, ctx._sub, ctx._mul
+        b = other._vals
+        inv = ctx._inv(b[-1])
+        r = list(self._vals)
+        q = [zero] * (len(r) - len(b) + 1)
         for k in range(len(r) - len(b), -1, -1):
-            c = r[k + len(b) - 1] * inv
-            if c.is_zero():
+            c = mul(r[k + len(b) - 1], inv)
+            if c == zero:
                 continue
             q[k] = c
             for i, bc in enumerate(b):
-                r[k + i] = r[k + i] - c * bc
-        return Poly(self.ctx, q), Poly(self.ctx, r[: len(b) - 1])
+                r[k + i] = sub(r[k + i], mul(c, bc))
+        return Poly._from_vals(ctx, q), Poly._from_vals(ctx, r[: len(b) - 1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -213,36 +249,46 @@ class Poly:
 
     def __call__(self, point):
         """Horner evaluation at a field element."""
-        point = self.ctx.coerce(point)
-        acc = self.ctx.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        ctx = self.ctx
+        point = ctx.coerce(point).val
+        add, mul = ctx._add, ctx._mul
+        acc = ctx.zero.val
+        for c in reversed(self._vals):
+            acc = add(mul(acc, point), c)
+        return FieldElem(ctx, acc)
 
     def compose(self, inner):
         """self(inner) without reduction."""
         inner = self._same(inner)
-        acc = Poly.zero(self.ctx)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.constant(self.ctx, c)
+        ctx = self.ctx
+        acc = Poly.zero(ctx)
+        for c in reversed(self._vals):
+            acc = acc * inner + Poly._from_vals(ctx, (c,))
         return acc
 
     def derivative(self):
-        return Poly(self.ctx, [i * c for i, c in enumerate(self.coeffs)][1:])
+        """Formal derivative; the multiples i * 1 are built by addition."""
+        ctx = self.ctx
+        one, add, mul = ctx.one.val, ctx._add, ctx._mul
+        out, i = [], ctx.zero.val
+        for c in self._vals[1:]:
+            i = add(i, one)
+            out.append(mul(i, c))
+        return Poly._from_vals(ctx, out)
 
     # -- comparison and display --
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return other.ctx == self.ctx and other.coeffs == self.coeffs
+            return other.ctx == self.ctx and other._vals == self._vals
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self._vals))
 
     def key(self):
         """Deterministic sort key: degree, then coefficients from the top."""
-        return (self.degree, tuple(c.key() for c in reversed(self.coeffs)))
+        return (self.degree, tuple(map(self.ctx._key, reversed(self._vals))))
 
     def __repr__(self):
         return "Poly(%s)" % self
@@ -328,10 +374,11 @@ def poly_compose_mod(outer, inner, modulus):
         raise CtxMismatch("composition over different fields")
     if modulus.is_zero():
         raise DivisionByZero("composition modulo zero")
-    acc = Poly.zero(outer.ctx)
+    ctx = outer.ctx
+    acc = Poly.zero(ctx)
     inner = inner % modulus
-    for c in reversed(outer.coeffs):
-        acc = (acc * inner + Poly.constant(outer.ctx, c)) % modulus
+    for c in reversed(outer._vals):
+        acc = (acc * inner + Poly._from_vals(ctx, (c,))) % modulus
     return acc
 
 
@@ -600,9 +647,9 @@ def _factor_rationals(f):
 def _q_to_primitive_int(f):
     """Primitive integer coefficient list (constant first, positive lc)."""
     den = 1
-    for c in f.coeffs:
-        den = den * c.val.denominator // math.gcd(den, c.val.denominator)
-    ints = [int(c.val * den) for c in f.coeffs]
+    for c in f._vals:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in f._vals]
     g = 0
     for c in ints:
         g = math.gcd(g, c)
@@ -656,7 +703,7 @@ def _zz_factor_squarefree(P):
     ell = 1
     while p**ell <= 2 * B:
         ell += 1
-    flist = [[c.val for c in g.coeffs] for g in modular]
+    flist = [list(g._vals) for g in modular]
     lifted = _hensel_lift(p, list(P), flist, ell)
     return _zz_recombine(P, lifted, p**ell)
 
@@ -765,8 +812,8 @@ def _hensel_lift(p, f, flist, ell):
     if not one.is_one():
         raise VerificationError("mod-p factors are not coprime")
     g, h = _ztrunc(g, p), _ztrunc(h, p)
-    s = _ztrunc([c.val for c in s.coeffs], p)
-    t = _ztrunc([c.val for c in t.coeffs], p)
+    s = _ztrunc(list(s._vals), p)
+    t = _ztrunc(list(t._vals), p)
     m = p
     steps = max(1, (ell - 1).bit_length())
     for _ in range(steps):
@@ -794,7 +841,7 @@ def _z_trial_divide(P, g):
     q, r = divmod(pa, pb)
     if not r.is_zero():
         return None
-    return [int(c.val) for c in q.coeffs]
+    return [int(c) for c in q._vals]
 
 
 def _zz_recombine(P, lifted, pl):

@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def run_cli(*args):
@@ -14,9 +17,16 @@ def run_cli(*args):
     return proc
 
 
+class RawJSON:
+    """Document text written as is: json.dumps cannot produce it."""
+
+    def __init__(self, text):
+        self.text = text
+
+
 def write_matrix(tmp_path, name, obj):
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(obj.text if isinstance(obj, RawJSON) else json.dumps(obj))
     return str(p)
 
 
@@ -211,6 +221,9 @@ def test_ragged_rows_are_parse_errors(tmp_path):
 
 
 _MR_BOUND = 3317044064679887385961981
+# longer than Python's integer-string conversion limit (4300 digits)
+_DIGITS = "9" * 5000
+
 
 FUZZ = [
     ("ragged rows", {"field": "F5", "rows": [[1, 2], [3]]}, "ParseError"),
@@ -228,6 +241,17 @@ FUZZ = [
     ("modulus at the bound", {"field": {"kind": "Fp", "p": _MR_BOUND}, "rows": [[1]]}, "TooLarge"),
     ("prime above the bound", {"field": {"kind": "Fp", "p": 2**89 - 1}, "rows": [[1]]}, "TooLarge"),
     ("Q degree over the cap", {"field": "Q", "companion": "x^25 - 2"}, "UnsupportedField"),
+    ("companion text over the degree cap", {"field": "F5", "companion": "x^1200"}, "TooLarge"),
+    ("companion array over the degree cap",
+     {"field": "F5", "companion": [0] * 1200 + [1]}, "TooLarge"),
+    ("5000-digit exponent", {"field": "F5", "companion": "x^" + _DIGITS}, "ParseError"),
+    ("5000-digit coefficient", {"field": "F5", "companion": "x^2 + " + _DIGITS}, "ParseError"),
+    ("5000-digit JSON number",
+     RawJSON('{"field": "F5", "rows": [[%s]]}' % _DIGITS), "ParseError"),
+    ("5000-digit prime in the field name", {"field": "F" + _DIGITS, "rows": [[1]]}, "ParseError"),
+    ("zero denominator in polynomial text",
+     {"field": "Q", "companion": "x^2 + 1/0"}, "ParseError"),
+    ("deeply nested JSON", RawJSON("[" * 100000 + "]" * 100000), "ParseError"),
 ]
 
 _FUZZ_EXIT = {"ParseError": 2, "UnsupportedField": 3}
@@ -246,3 +270,22 @@ def test_cli_fuzz_malformed_and_extreme_inputs(tmp_path, doc, error):
         assert proc.returncode in (2, 3, 4)
         assert proc.returncode == _FUZZ_EXIT.get(error, 4)
         assert json.loads(proc.stdout)["error"]["type"] == error
+
+
+# stdout recorded from the CLI at an earlier commit; a change here is a
+# change of the byte-stable JSON and must be made on purpose
+GOLDEN_CASES = [
+    ("centconj_f5", ["centconj", "f5_x.json", "f5_y.json"], 0),
+    ("centconj_q_pos", ["centconj", "q_sqrt2.json", "q_sqrt8.json"], 0),
+    ("centconj_q_neg", ["centconj", "q_sqrt2.json", "q_sqrt3.json"], 1),
+    ("mtype_f9", ["mtype", "f9_m.json"], 0),
+]
+
+
+@pytest.mark.parametrize("name, args, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_golden_output_across_commits(name, args, code):
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in args]
+    proc = run_cli(*argv)
+    assert proc.returncode == code, proc.stderr
+    with open(os.path.join(GOLDEN, name + ".stdout"), encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()

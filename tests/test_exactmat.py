@@ -181,25 +181,44 @@ def test_frobenius_form_fixture():
     assert frobenius_form(C).invariant_factors == (Poly(Q, [1, 2, 3, 1]),)
 
 
+def _check_frobenius(A):
+    ff = frobenius_form(A)
+    # divisibility chain and reconstruction
+    prev = None
+    for d in ff.invariant_factors:
+        assert d.is_monic()
+        if prev is not None:
+            assert (d % prev).is_zero()
+        prev = d
+    assert sum(d.degree for d in ff.invariant_factors) == A.nrows
+    assert ff.form == block_diag([companion(d) for d in ff.invariant_factors])
+    P = ff.transform
+    assert P * A * P.inverse() == ff.form
+    assert ff.invariant_factors[-1] == minpoly(A)
+    return ff.invariant_factors
+
+
 def test_frobenius_form_random():
     rng = random.Random(77)
     for ctx in (Q, F2, F5):
         for _ in range(15):
             n = rng.randrange(1, 5)
-            A = random_matrix(ctx, n, rng)
-            ff = frobenius_form(A)
-            # divisibility chain and reconstruction
-            prev = None
-            for d in ff.invariant_factors:
-                assert d.is_monic()
-                if prev is not None:
-                    assert (d % prev).is_zero()
-                prev = d
-            assert sum(d.degree for d in ff.invariant_factors) == n
-            assert ff.form == block_diag([companion(d) for d in ff.invariant_factors])
-            P = ff.transform
-            assert P * A * P.inverse() == ff.form
-            assert ff.invariant_factors[-1] == minpoly(A)
+            _check_frobenius(random_matrix(ctx, n, rng))
+    # block-diagonal inputs that repeat invariant factors, as given and
+    # conjugated by a random invertible matrix
+    rng = random.Random(78)
+    for ctx in (F2, F5, Q, F9):
+        x = Poly.x(ctx)
+        c = random_elem(ctx, rng, bound=3)
+        cases = [([x - c] * n) for n in (1, 3, 8)]
+        for parts in ((1, 1), (2, 2, 1), (3, 3, 2), (2, 2, 2, 2), (1, 1, 1, 5)):
+            cases.append([(x - 1) ** a for a in parts])
+        for factors in cases:
+            M = block_diag([companion(d) for d in factors])
+            U = random_invertible(ctx, M.nrows, rng, bound=2)
+            expected = tuple(sorted(factors, key=lambda d: d.degree))
+            assert _check_frobenius(M) == expected
+            assert _check_frobenius(U.inverse() * M * U) == expected
 
 
 def test_frobenius_form_similarity_invariance():
@@ -427,11 +446,51 @@ def test_payload_products_match_boxed_reference():
             assert S * S.inverse() == Matrix.identity(ctx, m)
 
 
+class _CoerceAndBoxCounter:
+    """Counts PrimeField.coerce calls and FieldElem constructions (boxings),
+    each by the first calling module outside exactfield."""
+
+    def __enter__(self):
+        self.coerced = collections.Counter()
+        self.boxed = collections.Counter()
+        self._coerce, self._init = PrimeField.coerce, FieldElem.__init__
+        coerce, init = self._coerce, self._init
+
+        def counting_coerce(ctx, v):
+            self.coerced[_caller()] += 1
+            return coerce(ctx, v)
+
+        def counting_init(elem, ctx, val):
+            self.boxed[_caller()] += 1
+            init(elem, ctx, val)
+
+        PrimeField.coerce, FieldElem.__init__ = counting_coerce, counting_init
+        return self
+
+    def __exit__(self, *exc):
+        PrimeField.coerce, FieldElem.__init__ = self._coerce, self._init
+
+    def take(self):
+        """(coerced, boxed) counted since the last take, then reset."""
+        out = (dict(self.coerced), dict(self.boxed))
+        self.coerced.clear()
+        self.boxed.clear()
+        return out
+
+
+def _caller():
+    frame = sys._getframe(2)
+    while frame.f_globals.get("__name__") == "centtype.exactfield":
+        frame = frame.f_back
+    return frame.f_globals.get("__name__")
+
+
 def test_products_and_frobenius_form_do_not_recoerce():
-    """Count PrimeField.coerce calls by the first calling module outside
-    exactfield.  A product coerces nothing at all; frobenius_form coerces
-    nothing from exactmat (its polynomial arithmetic still coerces in
-    upoly), and the count repeats exactly."""
+    """A product coerces nothing at all; frobenius_form coerces nothing
+    from exactmat or upoly; centralizer_basis neither coerces nor boxes;
+    every count repeats exactly on a second run."""
+    from centtype.centkit import centralizer_basis
+
     x = Poly(F5, [0, 1])
     d1 = x + 1
     d2 = d1 * (x**2 + 2)
@@ -440,27 +499,86 @@ def test_products_and_frobenius_form_do_not_recoerce():
     U = random_invertible(F5, 8, rng)
     A = U.inverse() * block_diag([companion(d1), companion(d2), companion(d3)]) * U
     B = random_matrix(F5, 8, rng)
-    orig = PrimeField.coerce
-    calls = collections.Counter()
-
-    def counting(self, v):
-        frame = sys._getframe(1)
-        while frame.f_globals.get("__name__") == "centtype.exactfield":
-            frame = frame.f_back
-        calls[frame.f_globals.get("__name__")] += 1
-        return orig(self, v)
-
-    PrimeField.coerce = counting
-    try:
+    with _CoerceAndBoxCounter() as counter:
         A * B
-        assert not calls
+        assert not counter.take()[0]
         ff = frobenius_form(A)
-        first = dict(calls)
-        calls.clear()
+        first = counter.take()
         again = frobenius_form(A)
-        second = dict(calls)
-    finally:
-        PrimeField.coerce = orig
+        second = counter.take()
+        basis = centralizer_basis(A)
+        cent_first = counter.take()
+        centralizer_basis(A)
+        cent_second = counter.take()
     assert ff.invariant_factors == (d1, d2, d3) and again == ff
-    assert "centtype.exactmat" not in first
+    coerced = first[0]
+    assert "centtype.exactmat" not in coerced and "centtype.upoly" not in coerced
     assert first == second
+    assert basis.dim == 1 + 3 + 4 + 2 * (1 + 1 + 3)
+    assert cent_first == ({}, {}) and cent_second == ({}, {})
+
+
+def test_internal_polys_match_public_constructor():
+    """Polynomials built by arithmetic on payloads equal, hash like and
+    box to the same coefficients as Poly(ctx, same values), and agree
+    with the same arithmetic done on FieldElems."""
+    rng = random.Random(108)
+    for ctx in (F2, F5, Q, F9):
+        x = Poly.x(ctx)
+        for _ in range(12):
+            f = Poly(ctx, [random_elem(ctx, rng, bound=3) for _ in range(rng.randrange(0, 6))])
+            g = Poly(ctx, [random_elem(ctx, rng, bound=3) for _ in range(rng.randrange(1, 5))])
+            c = random_elem(ctx, rng, bound=3)
+            made = [f + g, f - g, g - g, (f + g) - g, 1 - f, -f, f * g, f * c, f * ctx.zero]
+            made += [f.derivative(), f.compose(g), f**2, Poly.one(ctx), Poly.zero(ctx), x]
+            if not g.is_zero():
+                q, r = divmod(f, g)
+                made += [q, r, g.monic()]
+                assert q * g + r == f and r.degree < g.degree
+            for h in made:
+                twin = Poly(ctx, [c.val for c in h.coeffs])
+                assert h == twin and hash(h) == hash(twin) and h.coeffs == twin.coeffs
+                assert h.key() == twin.key() and h.degree == twin.degree
+                assert all(isinstance(e, FieldElem) and e.ctx == ctx for e in h.coeffs)
+                assert not h.coeffs or not h.coeffs[-1].is_zero()
+            # boxed references: convolution and Horner on FieldElems
+            conv = [ctx.zero] * (len(f.coeffs) + len(g.coeffs))
+            for i, a in enumerate(f.coeffs):
+                for j, b in enumerate(g.coeffs):
+                    conv[i + j] = conv[i + j] + a * b
+            assert f * g == Poly(ctx, conv)
+            acc = ctx.zero
+            for a in reversed(f.coeffs):
+                acc = acc * c + a
+            assert f(c) == acc
+            assert (g - g).is_zero() and (f + g) - g == f
+        # the order and conductor polynomials frobenius_form builds
+        M = random_matrix(ctx, 4, rng, bound=3)
+        for d in frobenius_form(M).invariant_factors:
+            twin = Poly(ctx, [c.val for c in d.coeffs])
+            assert d == twin and hash(d) == hash(twin) and d.coeffs == twin.coeffs
+
+
+def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
+    """The unit-vector scan skips vectors inside the span already
+    reached and stops when that span is everything: on a companion
+    matrix, one scanned vector and the corrected generator."""
+    from centtype import exactmat
+
+    calls = []
+    orig = exactmat._coset_order
+
+    def counting(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(exactmat, "_coset_order", counting)
+    x = Poly.x(F5)
+    f = x**10 + 3 * x**7 + x**3 + 2 * x + 1
+    assert frobenius_form(companion(f)).invariant_factors == (f,)
+    assert len(calls) == 2
+    del calls[:]
+    d1 = x + 1
+    M = block_diag([companion(d1), companion(d1 * f)])
+    assert frobenius_form(M).invariant_factors == (d1, d1 * f)
+    assert len(calls) == 5
