@@ -15,19 +15,19 @@ here returns checkable objects:
     all of GL_n(F_p) for a conjugator, for small instances.
 
 Witness construction per primary component of type f^lambda matched to
-g^lambda via the inverse pair (r, s): if r already maps the canonical
-f^lambda matrix onto class g^lambda, take p = r.  Otherwise t = s o r
-fixes every root of f while f o t gains a factor f^2, so iterating
-sigma <- t(sigma) modulo f^max(lambda) doubles the f-adic valuation of
-f o sigma until it vanishes; then sigma(X) is the semisimple part S and
-p = r o sigma + x - sigma evaluates to r(S) + (X - S), which lands in
-class g^lambda.  Components are glued by the Chinese Remainder Theorem.
+g^lambda via the inverse pair (r, s): write the canonical f^lambda matrix
+as S + N.  Then r(S + N) = r(S) + N(r'(S) + N...), so r keeps the
+nilpotent type, and p = r works, exactly when lambda has no part above 1
+or f does not divide r'.  Otherwise Newton's iteration lifts the root x
+of f to the root sigma of f modulo f^max(lambda) (unique by Hensel's
+lemma), so sigma(S + N) = S and p = r o sigma + x - sigma evaluates to
+r(S) + N, which lands in class g^lambda.  Components are glued by the
+Chinese Remainder Theorem, and only the glued p and q are checked.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,14 +44,12 @@ from .exactfield import PrimeField, prime_field
 from .exactmat import (
     Matrix,
     _form_conjugator,
-    block_diag,
-    companion,
     frobenius_form,
     mat_eval_poly,
     minpoly,
     restrict_to_basis,
 )
-from .typealg import CycleType, cycle_type, gentype_matching
+from .typealg import cycle_type, gentype_matching
 from .upoly import Poly, poly_compose_mod, poly_crt, poly_gcd, poly_xgcd, squarefree_part
 
 
@@ -69,13 +67,12 @@ class CentralizerBasis:
         return len(self.matrices)
 
     def contains(self, M):
-        base = [_vectorize(B) for B in self.matrices]
-        stacked = Matrix(M.ctx, base + [_vectorize(M)])
-        return stacked.rank() == len(base)
-
-
-def _vectorize(M):
-    return [c for row in M.rows for c in row]
+        B = self.matrices[0]
+        if M.ctx != B.ctx:
+            raise CtxMismatch("matrix and centralizer over different fields")
+        if M.shape != B.shape:
+            raise SizeMismatch("%dx%d matrix against a %dx%d centralizer" % (M.shape + B.shape))
+        return len(_span_rref(M.ctx, self.matrices + (M,))) == self.dim
 
 
 def _span_rref(ctx, mats):
@@ -171,27 +168,30 @@ class JCDecomposition:
     poly: Poly
 
 
-def jordan_chevalley(X):
-    """Newton iteration for the semisimple part inside K[x]/(minpoly)."""
-    if not X.is_square():
-        raise NotSquare("%dx%d matrix" % X.shape)
-    ctx = X.ctx
-    m = minpoly(X)
-    msf = squarefree_part(m)
-    z = Poly.x(ctx) % m
+def _newton_root(f, m):
+    """The root of the squarefree f in K[x]/(m) that Newton's iteration
+    reaches from x: the semisimple part of x modulo m."""
+    z = Poly.x(f.ctx) % m
+    df = f.derivative()
     for _ in range(64):
-        val = poly_compose_mod(msf, z, m)
+        val = poly_compose_mod(f, z, m)
         if val.is_zero():
-            break
-        deriv = poly_compose_mod(msf.derivative(), z, m)
-        g, a, _ = poly_xgcd(deriv, m)
+            return z
+        g, a, _ = poly_xgcd(poly_compose_mod(df, z, m), m)
         if g.degree != 0:
             raise NonSquarefreeDerivativeUnit(
                 "derivative of the squarefree part is not invertible modulo %s" % m
             )
         z = (z - val * a) % m
-    else:
-        raise VerificationError("Newton iteration failed to stabilize")
+    raise VerificationError("Newton iteration failed to stabilize")
+
+
+def jordan_chevalley(X):
+    """Newton iteration for the semisimple part inside K[x]/(minpoly)."""
+    if not X.is_square():
+        raise NotSquare("%dx%d matrix" % X.shape)
+    m = minpoly(X)
+    z = _newton_root(squarefree_part(m), m)
     S = mat_eval_poly(z, X)
     N = X - S
     n = X.nrows
@@ -210,39 +210,24 @@ def jordan_chevalley(X):
 # -- witness polynomials --
 
 
-def _component_witness(f, lam, g, rs, form):
-    """Polynomial sending the class f^lam onto the class g^lam; `form`
-    returns the Frobenius form of each matrix it checks."""
-    r, s = rs
-    ctx = f.ctx
-    x = Poly.x(ctx)
+def _component_witness(f, lam, g, rs):
+    """Polynomial sending the class f^lam onto the class g^lam."""
+    r = rs[0]
+    x = Poly.x(f.ctx)
     if f == g:
         return x
-    M = block_diag([companion(f**part) for part in lam.parts])
-    target = CycleType([(g, lam)])
-    if cycle_type(form(mat_eval_poly(r, M))) == target:
+    if lam.parts[0] == 1 or not (r.derivative() % f).is_zero():
         return r
     mm = f ** lam.parts[0]
-    t = poly_compose_mod(s, r, mm)
-    sigma = t
-    bound = min(M.nrows * math.factorial(f.degree), 64)
-    for _ in range(bound):
-        if poly_compose_mod(f, sigma, mm).is_zero():
-            break
-        sigma = poly_compose_mod(t, sigma, mm)
-    else:
-        raise VerificationError("valuation-doubling iteration failed to stabilize")
-    pc = (poly_compose_mod(r, sigma, mm) + x - sigma) % mm
-    if cycle_type(form(mat_eval_poly(pc, M))) != target:
-        raise VerificationError("component witness missed the target class")
-    return pc
+    sigma = _newton_root(f, mm)
+    return (poly_compose_mod(r, sigma, mm) + x - sigma) % mm
 
 
-def _glue_direction(match, form):
+def _glue_direction(match):
     residues, moduli = [], []
     for (f, lam), (g, _), rs in match:
         mc = f ** lam.parts[0]
-        residues.append(_component_witness(f, lam, g, rs, form) % mc)
+        residues.append(_component_witness(f, lam, g, rs) % mc)
         moduli.append(mc)
     if len(moduli) == 1:
         return residues[0]
@@ -257,15 +242,15 @@ def _witnesses(X, Y, seed):
     """The pipeline of `witness_polynomials` and `centralizers_conjugate`:
     (generalized types of X and Y, (p, q, U) or None when they differ),
     with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct matrix met
-    in the call (X, Y, p(X), q(Y), component checks) is formed once."""
+    in the call (X, Y, p(X), q(Y)) is put into Frobenius form once."""
     form = lru_cache(maxsize=None)(frobenius_form)
     gta = cycle_type(form(X), seed=seed).generalized()
     gtb = cycle_type(form(Y), seed=seed).generalized()
     match = gentype_matching(gta, gtb)
     if match is None:
         return gta, gtb, None
-    p = _glue_direction(match, form)
-    q = _glue_direction(_reverse_match(match), form)
+    p = _glue_direction(match)
+    q = _glue_direction(_reverse_match(match))
     pX = mat_eval_poly(p, X)
     U = _form_conjugator(pX, form(pX), Y, form(Y))
     if U is None:

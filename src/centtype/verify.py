@@ -11,6 +11,7 @@ order-independent.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ from .construct import (
     random_matrix,
     random_partition,
 )
-from .errors import TooLarge, UnknownSuite
+from .errors import ParseError, TooLarge, UnknownSuite
 from .exactfield import extension_field, make_field, prime_field
 from .exactmat import (
     block_diag,
@@ -78,9 +79,12 @@ class VerifyReport:
 
 
 def _map_tasks(worker, tasks, jobs):
-    if jobs and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(tasks) // (4 * jobs))
+    # the pool forks every worker up front, so never ask for more than
+    # there are tasks or CPUs
+    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (4 * workers))
             return list(pool.map(worker, tasks, chunksize=chunk))
     return [worker(t) for t in tasks]
 
@@ -470,28 +474,15 @@ def _suite_partition_formulas(seed, scale, jobs):
 _ORACLE_CACHE = {}
 
 
-def _tuple_even(images):
-    n = len(images)
-    seen = [False] * n
-    cycles = 0
-    for s in range(n):
-        if not seen[s]:
-            cycles += 1
-            p = s
-            while not seen[p]:
-                seen[p] = True
-                p = images[p] - 1
-    return (n - cycles) % 2 == 0
-
-
 def _oracle_data(n, group):
     key = (n, group)
     data = _ORACLE_CACHE.get(key)
     if data is None:
-        universe = _all_images(n)
+        perms = [Permutation(t) for t in _all_images(n)]
         if group == "A":
-            universe = tuple(t for t in universe if _tuple_even(t))
-        layers = [CycleLayers(Permutation(t)) for t in universe]
+            perms = [g for g in perms if g.is_even()]
+        universe = tuple(g.images for g in perms)
+        layers = [CycleLayers(g) for g in perms]
         data = {"universe": universe, "layers": layers, "cents": {}}
         _ORACLE_CACHE[key] = data
     return data
@@ -625,6 +616,10 @@ def run_suite(name, seed=0, scale=None, jobs=1):
         raise UnknownSuite(
             "unknown suite %r; choose from %s" % (name, ", ".join(_SUITES))
         )
+    if scale is not None and scale < 1:
+        raise ParseError("scale must be at least 1, got %d" % scale)
+    if jobs is not None and jobs < 1:
+        raise ParseError("jobs must be at least 1, got %d" % jobs)
     start = time.perf_counter()
     resolved, checked, failures = fn(seed, scale, jobs)
     elapsed = time.perf_counter() - start

@@ -1,11 +1,14 @@
+import json
 import random
 
 import pytest
 
 from centtype import (
+    CtxMismatch,
     Matrix,
     NonSquarefreeDerivativeUnit,
     Poly,
+    SizeMismatch,
     block_diag,
     cent_conjugate_bruteforce,
     cent_dim,
@@ -40,6 +43,7 @@ F5 = prime_field(5)
 
 def test_centralizer_basis_commutes():
     rng = random.Random(12)
+    outside = 0
     for ctx in (Q, F2, F5):
         for _ in range(10):
             n = rng.randrange(1, 5)
@@ -51,6 +55,19 @@ def test_centralizer_basis_commutes():
             assert basis.contains(Matrix.identity(ctx, n))
             assert basis.contains(A)
             assert basis.dim == cent_dim(A)
+            # matrix units: contained exactly when they commute with A
+            for i in range(n):
+                for j in range(n):
+                    E = Matrix(ctx, [[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+                    commutes = A * E == E * A
+                    assert basis.contains(E) == commutes
+                    outside += not commutes
+    assert outside > 0
+    basis = centralizer_basis(Matrix(F5, [[1, 2], [3, 4]]))
+    with pytest.raises(SizeMismatch):
+        basis.contains(Matrix.identity(F5, 3))
+    with pytest.raises(CtxMismatch):
+        basis.contains(Matrix.identity(Q, 2))
 
 
 def test_cent_dim_formula_agrees():
@@ -233,6 +250,38 @@ def test_witness_scalar_shift():
     assert frobenius_form(mat_eval_poly(p, X)).invariant_factors == frobenius_form(Y).invariant_factors
 
 
+def test_component_witness_branches():
+    from centtype.centkit import _component_witness
+    from centtype.typealg import CycleType, Partition, poly_equivalent
+    from centtype.upoly import poly_compose_mod
+
+    f3, g3 = Poly(F2, [1, 1, 0, 1]), Poly(F2, [1, 0, 1, 1])
+    # alpha^2 + 1 = alpha^6 is a root of g3 in F2[x]/(f3), and r' = 0
+    r3 = Poly(F2, [1, 0, 1])
+    s3 = Poly(F2, [0, 0, 0, 0, 0, 0, 1]) % g3
+    assert poly_compose_mod(g3, r3, f3).is_zero()
+    assert poly_compose_mod(s3, r3, f3) == Poly.x(F2)
+    # (f, g, inverse pair, partition, witness); the witnesses were recorded
+    # with the matrix checks and the valuation-doubling loop they replace
+    cases = [
+        (f3, f3, (Poly.x(F2), Poly.x(F2)), (2, 1), Poly.x(F2)),
+        # f does not divide r': r itself
+        (Poly(Q, [-2, 0, 1]), Poly(Q, [-8, 0, 1]), None, (2, 1), Poly(Q, [0, -2])),
+        (f3, g3, None, (2,), Poly(F2, [1, 1])),
+        # f divides r': the Newton lift
+        (Poly(Q, [-1, 1]), Poly(Q, [-2, 1]), None, (2,), Poly(Q, [1, 1])),
+        (f3, g3, (r3, s3), (2,), Poly(F2, [1, 1, 0, 0, 1])),
+        (f3, g3, (r3, s3), (3, 2), Poly(F2, [1, 1, 0, 0, 1])),
+    ]
+    for f, g, rs, parts, want in cases:
+        rs = poly_equivalent(f, g) if rs is None else rs
+        lam = Partition(parts)
+        p = _component_witness(f, lam, g, rs)
+        assert p == want
+        M = block_diag([companion(f**k) for k in parts])
+        assert cycle_type(mat_eval_poly(p, M)) == CycleType([(g, lam)])
+
+
 def test_certificate_verified_via_bruteforce_f2():
     # theorem path agrees with exhaustive search on 3x3 over F2 spot checks
     rng = random.Random(5)
@@ -262,17 +311,44 @@ def test_no_matrix_is_formed_twice(monkeypatch):
     pairs = [
         # p = x: Y is a conjugate of X
         (X, S.inverse() * X * S),
-        # f != g but f ~ g; X is itself the matrix the component witness checks
+        # f != g but f ~ g, and r itself is the witness
         (companion(f), companion(g)),
         (
             block_diag([companion(f**2), companion(f), companion(f)]),
             T.inverse() * block_diag([companion(g**2), companion(g), companion(g)]) * T,
         ),
+        # f = x - 1, g = x - 2 and r = 2 is constant: the Newton branch
+        (companion(Poly(Q, [1, -2, 1])), companion(Poly(Q, [4, -4, 1]))),
     ]
     for A, B in pairs:
         del formed[:]
-        assert centralizers_conjugate(A, B).conjugate
+        cert = centralizers_conjugate(A, B)
+        assert cert.conjugate
+        allowed = {A, B, mat_eval_poly(cert.p, A), mat_eval_poly(cert.q, B)}
         assert formed and len(set(formed)) == len(formed)
+        assert set(formed) <= allowed
         del formed[:]
         assert witness_polynomials(A, B) is not None
         assert formed and len(set(formed)) == len(formed)
+        assert set(formed) <= allowed
+
+
+def test_wrong_component_witness_is_caught(monkeypatch, tmp_path, capsys):
+    import centtype.centkit
+    from centtype import VerificationError
+    from centtype.cli import main
+
+    # r = 2 sends the root 1 of x - 1 to the root 2 of x - 2 but kills the
+    # nilpotent part: p(X) = 2I is not similar to Y
+    monkeypatch.setattr(centtype.centkit, "_component_witness", lambda f, lam, g, rs: rs[0])
+    X = companion(Poly(Q, [1, -2, 1]))
+    Y = companion(Poly(Q, [4, -4, 1]))
+    with pytest.raises(VerificationError):
+        centralizers_conjugate(X, Y)
+    docs = []
+    for name, poly in (("x.json", "x^2 - 2*x + 1"), ("y.json", "x^2 - 4*x + 4")):
+        path = tmp_path / name
+        path.write_text(json.dumps({"field": {"kind": "Q"}, "companion": poly}))
+        docs.append(str(path))
+    assert main(["centconj"] + docs) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "VerificationError"

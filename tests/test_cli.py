@@ -199,6 +199,14 @@ def test_verify_scale():
     assert out["failures"] == []
 
 
+def test_verify_rejects_scale_and_jobs_below_one(capsys):
+    from centtype import cli
+
+    for extra in (["--scale", "-3"], ["--scale", "0"], ["--jobs", "0"]):
+        assert cli.main(["verify", "centdim"] + extra) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
 def test_pretty_format(tmp_path):
     f = write_matrix(tmp_path, "m.json", {"field": {"kind": "Q"}, "companion": "x^2 - 2"})
     proc = run_cli("mtype", f, "--format", "pretty")

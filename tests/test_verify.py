@@ -1,6 +1,6 @@
 import pytest
 
-from centtype import TooLarge, UnknownSuite, run_suite, suite_names
+from centtype import ParseError, TooLarge, UnknownSuite, run_suite, suite_names
 from centtype.serialize import verify_report_to_json
 
 
@@ -54,3 +54,46 @@ def test_oracle_scale_bounds():
         run_suite("main-theorem-f2", scale=5)
     rep = run_suite("an-oracle", scale=4)
     assert rep.passed and rep.scale == 4
+
+
+def test_scale_and_jobs_below_one_are_rejected():
+    for kwargs in ({"scale": 0}, {"scale": -3}, {"jobs": 0}, {"jobs": -1}):
+        with pytest.raises(ParseError):
+            run_suite("centdim", **kwargs)
+
+
+def test_workers_capped_by_tasks_and_cpus(monkeypatch):
+    import centtype.verify as verify
+
+    pools = []
+
+    class FakePool:
+        """Runs the tasks in this process and records the pool size."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    serial = verify_report_to_json(run_suite("dominance", seed=2, scale=8))
+    assert pools == []
+    for jobs, scale, want in ((100000, 8, 3), (2, 8, 2), (100000, 2, 2), (100000, 1, None)):
+        del pools[:]
+        rep = run_suite("dominance", seed=2, scale=scale, jobs=jobs)
+        assert pools == ([] if want is None else [want])
+        if scale == 8:
+            assert verify_report_to_json(rep) == serial
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    for jobs in (100000, None):
+        del pools[:]
+        run_suite("dominance", seed=2, scale=8, jobs=jobs)
+        assert pools == []
