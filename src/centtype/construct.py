@@ -10,18 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import TooLarge, UnsupportedField
-from .exactfield import ExtensionField, RationalField
+from .exactfield import RationalField, random_elem
 from .exactmat import Matrix, block_diag, companion
 from .typealg import Partition, partitions_of
 from .upoly import Poly, is_irreducible
-
-
-def random_elem(ctx, rng, bound=9):
-    if isinstance(ctx, ExtensionField):
-        return ctx.elem([random_elem(ctx.base, rng, bound) for _ in range(ctx.degree)])
-    if ctx.is_finite():
-        return ctx.elem(rng.randrange(ctx.order()))
-    return ctx.elem(Fraction(rng.randint(-bound, bound)))
 
 
 def random_matrix(ctx, n, rng, bound=9):

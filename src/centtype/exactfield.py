@@ -3,9 +3,10 @@
 A FieldCtx owns the arithmetic of one field and FieldElem is an immutable
 (ctx, value) pair.  Values are canonical at construction, so element
 equality is representational equality: a Fraction in lowest terms for the
-rationals, a residue in [0, p) for a prime field, and a coefficient vector
-over the immediate base field for an extension.  Extensions may be stacked
-(towers), and every context is hashable and value-comparable.
+rationals, a residue in [0, p) for a prime field, and a tuple of the
+immediate base field's payloads for an extension, so no payload at any
+level holds a FieldElem.  Extensions may be stacked (towers), and every
+context is hashable and value-comparable.
 """
 
 from __future__ import annotations
@@ -335,9 +336,10 @@ class ExtensionField(FieldCtx):
     """base[x]/(modulus): elements are coefficient vectors over the base.
 
     The modulus is monic of degree d >= 1 over the immediate base; an
-    element payload is a tuple of exactly d base elements (c0, ..., c_{d-1})
+    element payload is a tuple of exactly d base payloads (c0, ..., c_{d-1})
     meaning c0 + c1*t + ... where t is the distinguished generator (the
-    coset of x).
+    coset of x).  Arithmetic runs on the payloads through the base's
+    `_add/_mul/...`; FieldElems are built only at the API boundary.
     """
 
     kind = "ext"
@@ -349,30 +351,25 @@ class ExtensionField(FieldCtx):
         if len(coeffs) < 2 or not coeffs[-1].is_one():
             raise ReducibleModulus("modulus must be monic of degree >= 1")
         self.modulus_coeffs = coeffs
-        self.degree = len(coeffs) - 1
+        self.degree = d = len(coeffs) - 1
         self.characteristic = base.characteristic
-        d = self.degree
-        self._red = tuple(-c for c in coeffs[:d])  # x^d = sum _red[i] * x^i
-        zb = base.zero
+        self._red = tuple(base._neg(c.val) for c in coeffs[:d])  # x^d = sum _red[i] x^i
+        zb = base.zero.val
         self.zero = FieldElem(self, (zb,) * d)
-        self.one = FieldElem(self, (base.one,) + (zb,) * (d - 1))
+        self.one = FieldElem(self, (base.one.val,) + (zb,) * (d - 1))
 
     @property
     def generator(self):
         """The coset of x."""
-        d = self.degree
-        if d == 1:
-            return FieldElem(self, (self._red[0],))
-        zb = self.base.zero
-        vec = [zb] * d
-        vec[1] = self.base.one
+        if self.degree == 1:
+            return FieldElem(self, self._red)
+        vec = list(self.zero.val)
+        vec[1] = self.base.one.val
         return FieldElem(self, tuple(vec))
 
     def embed(self, elem):
         """Lift an element of the immediate base into this extension."""
-        e = self.base.coerce(elem)
-        zb = self.base.zero
-        return FieldElem(self, (e,) + (zb,) * (self.degree - 1))
+        return FieldElem(self, (self.base.coerce(elem).val,) + self.zero.val[1:])
 
     def coerce(self, v):
         if isinstance(v, FieldElem):
@@ -386,54 +383,53 @@ class ExtensionField(FieldCtx):
         if isinstance(v, (tuple, list)):
             if len(v) > self.degree:
                 raise TypeError("vector longer than extension degree")
-            vec = [self.base.coerce(c) for c in v]
-            vec.extend([self.base.zero] * (self.degree - len(vec)))
-            return FieldElem(self, tuple(vec))
+            vec = tuple(self.base.coerce(c).val for c in v)
+            return FieldElem(self, vec + self.zero.val[len(vec) :])
         if isinstance(v, float):
             raise TypeError("floating point is not supported")
-        return self.embed(self.base.coerce(v))
+        return self.embed(v)
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(self.base._add, a, b))
 
     def _sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return tuple(map(self.base._sub, a, b))
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
         d = self.degree
-        zb = self.base.zero
+        add, mul, zb = self.base._add, self.base._mul, self.base.zero.val
         conv = [zb] * (2 * d - 1)
         for i, x in enumerate(a):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    conv[i + j] = conv[i + j] + x * y
+            if x != zb:
+                for j, y in enumerate(b):
+                    if y != zb:
+                        conv[i + j] = add(conv[i + j], mul(x, y))
         red = self._red
         for k in range(2 * d - 2, d - 1, -1):
             c = conv[k]
-            if not c.is_zero():
+            if c != zb:
                 lo = k - d
                 for i, r in enumerate(red):
-                    conv[lo + i] = conv[lo + i] + c * r
+                    conv[lo + i] = add(conv[lo + i], mul(c, r))
         return tuple(conv[:d])
 
     def _inv(self, a):
         from .upoly import Poly, poly_xgcd
 
-        g, s, _ = poly_xgcd(Poly(self.base, a), Poly(self.base, self.modulus_coeffs))
+        modulus = Poly._from_vals(self.base, [c.val for c in self.modulus_coeffs])
+        g, s, _ = poly_xgcd(Poly._from_vals(self.base, a), modulus)
         if not g.is_one():
             raise DivisionByZero("element not invertible (reducible modulus?)")
-        return s.coeffs + (self.base.zero,) * (self.degree - len(s.coeffs))
+        return s._vals + self.zero.val[len(s._vals) :]
 
     def _key(self, a):
-        return tuple(self.base._key(c.val) for c in a)
+        return tuple(map(self.base._key, a))
 
     def _fmt(self, a):
-        return "(" + ", ".join(self.base._fmt(c.val) for c in a) + ")"
+        return "(" + ", ".join(map(self.base._fmt, a)) + ")"
 
     def order(self):
         q = self.base.order()
@@ -444,9 +440,9 @@ class ExtensionField(FieldCtx):
             raise UnsupportedField("cannot enumerate an infinite field")
         import itertools
 
-        base_elems = list(self.base.elements())
-        for vec in itertools.product(base_elems, repeat=self.degree):
-            yield FieldElem(self, tuple(vec))
+        base_vals = [e.val for e in self.base.elements()]
+        for vec in itertools.product(base_vals, repeat=self.degree):
+            yield FieldElem(self, vec)
 
     def short_name(self):
         return "%s[x]/(deg %d)" % (self.base.short_name(), self.degree)
@@ -509,6 +505,17 @@ def extension_field(base, modulus, check=True):
     return L
 
 
+def random_elem(ctx, rng, bound=9):
+    """A random element: uniform over a finite field, an integer in
+    [-bound, bound] over Q, coordinatewise over an extension."""
+    if isinstance(ctx, ExtensionField):
+        vec = tuple(random_elem(ctx.base, rng, bound).val for _ in range(ctx.degree))
+        return FieldElem(ctx, vec)
+    if ctx.is_finite():
+        return ctx.elem(rng.randrange(ctx.order()))
+    return ctx.elem(Fraction(rng.randint(-bound, bound)))
+
+
 def make_field(spec):
     """Build a field from 'Q', 'F<p>', or a JSON descriptor dict."""
     if isinstance(spec, FieldCtx):
@@ -541,7 +548,7 @@ def elem_to_json(e):
         return "%d/%d" % (e.val.numerator, e.val.denominator)
     if isinstance(ctx, PrimeField):
         return e.val
-    return [elem_to_json(c) for c in e.val]
+    return [elem_to_json(FieldElem(ctx.base, c)) for c in e.val]
 
 
 def elem_from_json(ctx, v):

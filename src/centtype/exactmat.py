@@ -6,7 +6,7 @@ form, kernels, inverses, determinants, and `frobenius_form`, which
 computes invariant factors together with an explicit change of basis.
 
 A matrix keeps its entries as raw field payloads (ints mod p, Fractions,
-extension tuples) in `_vals`; `rows` boxes them as FieldElems on first
+or for an extension tuples of base payloads) in `_vals`; `rows` boxes them as FieldElems on first
 read and keeps the result, which is safe because matrices are immutable.
 Arithmetic, products and elimination run on the payloads through the
 context's `_add/_sub/_mul/_neg/_inv` and box nothing: all elimination

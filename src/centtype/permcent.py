@@ -178,9 +178,10 @@ class CycleLayers:
     def __init__(self, g):
         self.degree = g.degree
         self.images = g.images
-        self.even = g.is_even()
+        cycles = g.cycles(include_fixed=True)
+        self.even = (g.degree - len(cycles)) % 2 == 0
         by_len = {}
-        for c in g.cycles(include_fixed=True):
+        for c in cycles:
             by_len.setdefault(len(c), []).append(c)
         self._cycles = {i: tuple(cs) for i, cs in by_len.items()}
         self._supports = {
@@ -437,11 +438,12 @@ def an_cent_equal(g, h):
 
     Both inputs must be even permutations.
     """
-    if not g.is_even():
+    la, lb = CycleLayers(g), CycleLayers(h)
+    if not la.even:
         raise OddPermutation("first argument is odd")
-    if not h.is_even():
+    if not lb.even:
         raise OddPermutation("second argument is odd")
-    return _decide_an(CycleLayers(g), CycleLayers(h))
+    return _decide_an(la, lb)
 
 
 def cent_order_sn(g):

@@ -19,7 +19,8 @@ Factorization routes:
     factor modulo a good prime, Hensel-lift past the Landau-Mignotte
     bound, recombine subsets by trial division.  Degree is soft-capped
     at 24.
-Root-finding in L = K[x]/(f):
+Root-finding in L = K[x]/(f), whose elements are tuples of K-payloads
+(a root's payload is directly its expression over K):
   * finite K: gcd with x^|L| - x followed by degree-1 splitting;
   * K = Q: the norm trick -- an integer shift s with squarefree
     resultant Res_x(f(x), g(y - s x)), factored over Q, mapped back to
@@ -46,10 +47,10 @@ from .errors import (
 from .exactfield import (
     ExtensionField,
     FieldElem,
-    PrimeField,
     RationalField,
     _is_prime,
     prime_field,
+    random_elem,
     rationals,
 )
 
@@ -577,18 +578,10 @@ def _distinct_degree(f):
 def _random_poly_below(ctx, n, rng):
     # a nonconstant polynomial of degree < n (n >= 2)
     while True:
-        coeffs = [_random_elem(ctx, rng) for _ in range(n)]
+        coeffs = [random_elem(ctx, rng) for _ in range(n)]
         p = Poly(ctx, coeffs)
         if p.degree >= 1:
             return p
-
-
-def _random_elem(ctx, rng):
-    if isinstance(ctx, PrimeField):
-        return ctx.coerce(rng.randrange(ctx.p))
-    if isinstance(ctx, ExtensionField):
-        return FieldElem(ctx, tuple(_random_elem(ctx.base, rng) for _ in range(ctx.degree)))
-    raise UnsupportedField("random elements need a finite field")
 
 
 def _equal_degree(f, k, rng):

@@ -3,9 +3,10 @@ exhaustive oracle comparisons that double as the acceptance evidence.
 
 Each suite derives every instance from a single master seed, so runs
 are reproducible and the report is byte-stable.  Failures carry the
-offending inputs verbatim.  Suites that consist of independent
-instances can fan out over a process pool (--jobs); aggregation is
-order-independent.
+offending inputs verbatim; those of the seeded suites also carry the
+instance's sub-seed, from which the suite's worker replays the instance
+alone.  Suites that consist of independent instances can fan out over a
+process pool (--jobs); aggregation is order-independent.
 """
 
 from __future__ import annotations
@@ -117,12 +118,13 @@ def _centdim_worker(task):
             return {
                 "instance": idx,
                 "field": tag,
+                "seed": sub,
                 "matrix": matrix_to_json(m),
                 "formula": want,
                 "commutant": got,
             }
     except Exception as exc:  # a crash is a failure, not an excuse
-        return {"instance": idx, "field": tag, "error": repr(exc)}
+        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
     return None
 
 
@@ -156,12 +158,13 @@ def _nilpclass_worker(task):
             return {
                 "instance": idx,
                 "field": tag,
+                "seed": sub,
                 "f": str(f),
                 "partition": list(lam.parts),
                 "got": str(ct),
             }
     except Exception as exc:
-        return {"instance": idx, "field": tag, "error": repr(exc)}
+        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
     return None
 
 
@@ -210,13 +213,14 @@ def _dominance_worker(task):
             return {
                 "instance": idx,
                 "field": tag,
+                "seed": sub,
                 "f": str(f),
                 "partition": list(lam.parts),
                 "h": str(h),
                 "got": str(gt),
             }
     except Exception as exc:
-        return {"instance": idx, "field": tag, "error": repr(exc)}
+        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
     return None
 
 
@@ -350,12 +354,13 @@ def _witness_worker(task):
             return {
                 "instance": idx,
                 "field": tag,
+                "seed": sub,
                 "components": [[str(f), str(g), list(l.parts)] for f, g, l in comps],
                 "p": str(p),
                 "q": str(q),
             }
     except Exception as exc:
-        return {"instance": idx, "field": tag, "error": repr(exc)}
+        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
     return None
 
 
@@ -401,10 +406,11 @@ def _jc_worker(task):
                 "instance": idx,
                 "kind": kind,
                 "field": tag,
+                "seed": sub,
                 "matrix": matrix_to_json(m),
             }
     except Exception as exc:
-        return {"instance": idx, "kind": kind, "field": tag, "error": repr(exc)}
+        return {"instance": idx, "kind": kind, "field": tag, "seed": sub, "error": repr(exc)}
     return None
 
 
@@ -573,12 +579,13 @@ def _extsep_worker(task):
             return {
                 "instance": idx,
                 "p": p,
+                "seed": sub,
                 "f": str(f),
                 "partition": list(lam.parts),
                 "got": str(ct),
             }
     except Exception as exc:
-        return {"instance": idx, "p": p, "error": repr(exc)}
+        return {"instance": idx, "p": p, "seed": sub, "error": repr(exc)}
     return None
 
 

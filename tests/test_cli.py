@@ -287,6 +287,9 @@ GOLDEN_CASES = [
     ("centconj_q_pos", ["centconj", "q_sqrt2.json", "q_sqrt8.json"], 0),
     ("centconj_q_neg", ["centconj", "q_sqrt2.json", "q_sqrt3.json"], 1),
     ("mtype_f9", ["mtype", "f9_m.json"], 0),
+    # f ~ g for distinct irreducible quadratics over F9 runs root finding
+    # in the tower F9[y]/(f)
+    ("centconj_f9", ["centconj", "f9_x.json", "f9_y.json"], 0),
 ]
 
 

@@ -18,7 +18,8 @@ from centtype import (
     prime_field,
     rationals,
 )
-from centtype.exactfield import _is_prime
+from centtype.exactfield import FieldElem, _is_prime, random_elem
+from centtype.upoly import poly_embed
 
 
 def test_prime_field_basics():
@@ -198,3 +199,76 @@ def test_field_equality_and_interning():
     assert extension_field(F3, Poly(F3, [1, 0, 1])) == extension_field(
         F3, Poly(F3, [1, 0, 1])
     )
+
+
+def _extensions():
+    F2, F3, F5, Q = prime_field(2), prime_field(3), prime_field(5), rationals()
+    F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
+    return {
+        "F4": extension_field(F2, Poly(F2, [1, 1, 1])),
+        "F8": extension_field(F2, Poly(F2, [1, 1, 0, 1])),
+        "F9": F9,
+        "F25": extension_field(F5, Poly(F5, [2, 0, 1])),
+        "Q(sqrt2)": extension_field(Q, Poly(Q, [-2, 0, 1])),
+        # a tower: F9[y] modulo the irreducible y^2 + y + t
+        "F81": extension_field(F9, Poly(F9, [F9.generator, 1, 1])),
+    }
+
+
+def _raw(L, v):
+    """Is v a tuple of exactly deg L base payloads, all the way down?"""
+    if not isinstance(v, tuple) or len(v) != L.degree:
+        return False
+    if isinstance(L.base, ExtensionField):
+        return all(_raw(L.base, c) for c in v)
+    return not any(isinstance(c, (FieldElem, tuple)) for c in v)
+
+
+@pytest.mark.parametrize("name", list(_extensions()))
+def test_extension_payload_arithmetic_matches_poly_reference(name):
+    """_add/_sub/_mul/_neg/_inv on raw payloads equal Poly arithmetic over
+    the base reduced modulo the modulus, and hold no FieldElem."""
+    L = _extensions()[name]
+    K = L.base
+    modulus = Poly(K, L.modulus_coeffs)
+    rng = random.Random(11)
+
+    def ref(v):
+        return Poly(K, v)
+
+    elems = [random_elem(L, rng, bound=3) for _ in range(10)] + [L.zero, L.one, L.generator]
+    for a in elems:
+        assert _raw(L, a.val)
+        assert ref(L._neg(a.val)) == -ref(a.val)
+        if not a.is_zero():
+            inv = L._inv(a.val)
+            assert _raw(L, inv) and (ref(a.val) * ref(inv)) % modulus == Poly.one(K)
+        for b in elems:
+            s, d, p = L._add(a.val, b.val), L._sub(a.val, b.val), L._mul(a.val, b.val)
+            assert all(_raw(L, v) for v in (s, d, p))
+            assert ref(s) == ref(a.val) + ref(b.val)
+            assert ref(d) == ref(a.val) - ref(b.val)
+            assert ref(p) == (ref(a.val) * ref(b.val)) % modulus
+
+
+@pytest.mark.parametrize("name", list(_extensions()))
+def test_extension_boundary_round_trips(name):
+    L = _extensions()[name]
+    K = L.base
+    rng = random.Random(12)
+    assert poly_embed(Poly(K, L.modulus_coeffs), L)(L.generator).is_zero()
+    assert _raw(L, L.generator.val) and _raw(L, L.zero.val) and _raw(L, L.one.val)
+    for _ in range(8):
+        e = random_elem(L, rng, bound=3)
+        assert elem_from_json(L, elem_to_json(e)) == e
+        assert L.coerce(list(e.val)) == e and hash(L.coerce(e.val)) == hash(e)
+        c, c2 = random_elem(K, rng, bound=3), random_elem(K, rng, bound=3)
+        lifted = L.embed(c)
+        assert _raw(L, lifted.val) and lifted.val[0] == c.val and L.coerce(c) == lifted
+        assert L.embed(c) * L.embed(c2) == L.embed(c * c2)
+        assert elem_from_json(L, elem_to_json(lifted)) == lifted
+    if L.is_finite():
+        elems = list(L.elements())
+        assert len(set(elems)) == L.order()
+        assert all(_raw(L, e.val) and L.coerce(list(e.val)) == e for e in elems)
+        assert sorted(elems, key=FieldElem.key) == elems

@@ -518,6 +518,22 @@ def test_products_and_frobenius_form_do_not_recoerce():
     assert cent_first == ({}, {}) and cent_second == ({}, {})
 
 
+def test_extension_products_and_frobenius_form_coerce_nothing():
+    """Extension payloads are tuples of base payloads, so F9 arithmetic
+    never coerces a base element: an F9 product and frobenius_form over
+    F9 make no PrimeField.coerce call at all."""
+    rng = random.Random(109)
+    A, B = random_matrix(F9, 8, rng), random_matrix(F9, 8, rng)
+    with _CoerceAndBoxCounter() as counter:
+        AB = A * B
+        product = counter.take()
+        ff = frobenius_form(A)
+        first = counter.take()
+    assert AB.rows == _boxed_product(A, B)
+    assert product == ({}, {}) and first[0] == {}
+    assert sum(f.degree for f in ff.invariant_factors) == 8
+
+
 def test_internal_polys_match_public_constructor():
     """Polynomials built by arithmetic on payloads equal, hash like and
     box to the same coefficients as Poly(ctx, same values), and agree

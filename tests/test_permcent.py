@@ -115,6 +115,17 @@ def test_bruteforce_guards():
         an_cent_equal(P("(1 2)", n=4), P("(3 4)", n=4))
 
 
+def test_layer_parity_matches_is_even():
+    for images in itertools.permutations(range(1, 6)):
+        g = Permutation(images)
+        assert cycle_layers(g).even == g.is_even()
+    even, odd = P("(1 2 3)", n=4), P("(1 2)", n=4)
+    with pytest.raises(OddPermutation, match="first argument is odd"):
+        an_cent_equal(odd, even)
+    with pytest.raises(OddPermutation, match="second argument is odd"):
+        an_cent_equal(even, odd)
+
+
 def test_locally_equivalent():
     g = P("(1 2 3 4 5)", n=5)
     assert locally_equivalent(g, g**2, 5)

@@ -97,3 +97,17 @@ def test_workers_capped_by_tasks_and_cpus(monkeypatch):
         del pools[:]
         run_suite("dominance", seed=2, scale=8, jobs=jobs)
         assert pools == []
+
+
+def test_witness_failures_replay_from_their_record(monkeypatch):
+    """A witness-roundtrip failure names its instance, field and sub-seed,
+    and rerunning the worker on those alone gives back the same record."""
+    import centtype.verify as verify
+
+    monkeypatch.setattr(verify, "witness_polynomials", lambda x, y, seed=0: None)
+    rep = run_suite("witness-roundtrip", scale=2)
+    assert len(rep.failures) == 2
+    first = rep.failures[0]
+    assert set(first) == {"instance", "field", "seed", "error"}
+    task = (first["instance"], first["field"], first["seed"])
+    assert verify._witness_worker(task) == first
