@@ -7,10 +7,20 @@ rationals, a residue in [0, p) for a prime field, and a tuple of the
 immediate base field's payloads for an extension, so no payload at any
 level holds a FieldElem.  Extensions may be stacked (towers), and every
 context is hashable and value-comparable.
+
+Besides the element operations `_add/_sub/_mul/_neg/_inv`, a context
+carries three row kernels, the loops that elimination, matrix products
+and polynomial arithmetic spend their time in: `_matvec` (payload rows
+times a payload vector), `_submul` (work[i] -= c * v on a payload list)
+and `_submul_sparse` (the same on a {index: payload} dict, dropping
+entries that become zero).  `FieldCtx` runs them through the element
+operations; `PrimeField` overrides them with plain int arithmetic and
+one reduction mod p per entry written.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -173,10 +183,45 @@ class FieldCtx:
     kind = "?"
 
     # subclasses provide: characteristic, _add, _sub, _mul, _neg, _inv,
-    # coerce, order(), _key, _fmt, descriptor(), short_name()
+    # coerce, order(), _key, _fmt, descriptor(), short_name(); they may
+    # override the row kernels _matvec, _submul and _submul_sparse below,
+    # whose generic bodies run through _add/_sub/_mul
 
     def elem(self, value):
         return self.coerce(value)
+
+    # -- row kernels: the package's hot payload loops --
+
+    def _matvec(self, rows, vec):
+        """Payload rows times a payload vector, skipping zero entries."""
+        zero, add, mul = self.zero.val, self._add, self._mul
+        nz = [(j, b) for j, b in enumerate(vec) if b != zero]
+        out = []
+        for row in rows:
+            s = zero
+            for j, b in nz:
+                a = row[j]
+                if a != zero:
+                    s = add(s, mul(a, b))
+            out.append(s)
+        return out
+
+    def _submul(self, work, c, items):
+        """work[i] -= c * v for each (i, v) in items, on a payload list."""
+        sub, mul = self._sub, self._mul
+        for i, v in items:
+            work[i] = sub(work[i], mul(c, v))
+
+    def _submul_sparse(self, target, c, items):
+        """target[k] -= c * v for each (k, v) in items, on a {k: payload}
+        dict; an entry that becomes zero is dropped."""
+        zero, sub, mul = self.zero.val, self._sub, self._mul
+        for k, v in items:
+            d = sub(target.get(k, zero), mul(c, v))
+            if d == zero:
+                target.pop(k, None)
+            else:
+                target[k] = d
 
     def order(self):
         """Number of elements, or None for infinite fields."""
@@ -302,6 +347,26 @@ class PrimeField(FieldCtx):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
+
+    # row kernels on plain ints: one reduction per entry written
+
+    def _matvec(self, rows, vec):
+        p = self.p
+        return [sum(map(operator.mul, row, vec)) % p for row in rows]
+
+    def _submul(self, work, c, items):
+        p = self.p
+        for i, v in items:
+            work[i] = (work[i] - c * v) % p
+
+    def _submul_sparse(self, target, c, items):
+        p = self.p
+        for k, v in items:
+            d = (target.get(k, 0) - c * v) % p
+            if d:
+                target[k] = d
+            else:
+                target.pop(k, None)
 
     def _key(self, a):
         return a

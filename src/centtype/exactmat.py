@@ -6,17 +6,19 @@ form, kernels, inverses, determinants, and `frobenius_form`, which
 computes invariant factors together with an explicit change of basis.
 
 A matrix keeps its entries as raw field payloads (ints mod p, Fractions,
-or for an extension tuples of base payloads) in `_vals`; `rows` boxes them as FieldElems on first
-read and keeps the result, which is safe because matrices are immutable.
-Arithmetic, products and elimination run on the payloads through the
-context's `_add/_sub/_mul/_neg/_inv` and box nothing: all elimination
-runs through `_Echelon`, and every matrix-vector and matrix-matrix
-product through `_matvec`.  Results computed here are built by
-`Matrix._from_vals`, which neither coerces nor boxes, while the public
-constructor and `Matrix.apply` coerce and check what they are given.
-`Matrix.rref` and `Matrix.det` insert the rows into one echelon;
-`kernel` (through the payload loop `_kernel`), `inverse`,
-`solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
+or for an extension tuples of base payloads) in `_vals`; `rows` boxes
+them as FieldElems on first read and keeps the result, which is safe
+because matrices are immutable.  Arithmetic, products and elimination
+run on the payloads and box nothing.  The hot loops run through the
+context's row kernels: every matrix-vector and matrix-matrix product
+through `ctx._matvec`, and every row update of `_Echelon` (the one
+elimination loop) and of `_poly_apply` through `ctx._submul` and
+`ctx._submul_sparse`, which a prime field runs on plain ints.  Results
+computed here are built by `Matrix._from_vals`, which neither coerces
+nor boxes, while the public constructor and `Matrix.apply` coerce and
+check what they are given.  `Matrix.rref` and `Matrix.det` insert the
+rows into one echelon; `kernel` (through the payload loop `_kernel`),
+`inverse`, `solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
@@ -27,9 +29,12 @@ which remembers how every reduced row decomposes over the tracked
 inserts.  Its polynomial steps need only vectors f(A) u, computed by
 Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
 Each round scans unit vectors only until they and the accumulated
-chains span V, skipping any unit vector already in that span.  The
-Krylov chains, unit vectors and corrected generators stay payload lists
-throughout, and the transform is built from them with `_from_vals`.
+chains span V, skipping any unit vector already in that span, and keeps
+the Krylov chain of a scanned generator that no lcm combination or
+conductor correction changed, so only a changed generator is re-run
+and checked to keep its order.  The Krylov chains, unit vectors and
+corrected generators stay payload lists throughout, and the transform
+is built from them with `_from_vals`.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise SizeMismatch("product of %s and %s" % (self.shape, other.shape))
             ctx = self.ctx
-            cols = [_matvec(ctx, self._vals, col) for col in zip(*other._vals)]
+            cols = [ctx._matvec(self._vals, col) for col in zip(*other._vals)]
             return Matrix._from_vals(ctx, zip(*cols))
         return self._scale(other)
 
@@ -189,7 +194,7 @@ class Matrix:
         vec = [ctx.coerce(v).val for v in vec]
         if len(vec) != self.ncols:
             raise SizeMismatch("vector of length %d under %s" % (len(vec), self.shape))
-        return tuple(FieldElem(ctx, v) for v in _matvec(ctx, self._vals, vec))
+        return tuple(FieldElem(ctx, v) for v in ctx._matvec(self._vals, vec))
 
     # -- equality and display --
 
@@ -336,30 +341,16 @@ def block_diag(blocks):
     return Matrix._from_vals(ctx, rows)
 
 
-def _matvec(ctx, rows, vec):
-    """Payload rows times a payload vector, skipping zero entries: the
-    package's one matrix-vector product loop."""
-    zero, add, mul = ctx.zero.val, ctx._add, ctx._mul
-    nz = [(j, b) for j, b in enumerate(vec) if b != zero]
-    out = []
-    for row in rows:
-        s = zero
-        for j, b in nz:
-            a = row[j]
-            if a != zero:
-                s = add(s, mul(a, b))
-        out.append(s)
-    return out
-
-
 def _poly_apply(f, A, u):
     """f(A) u for a payload vector u by Horner's rule, one `_matvec` per
     coefficient; a payload list."""
     ctx = A.ctx
-    add, mul = ctx._add, ctx._mul
-    acc = [ctx.zero.val] * len(u)
+    zero, neg = ctx.zero.val, ctx._neg
+    acc = [zero] * len(u)
     for c in reversed(f._vals):
-        acc = [add(a, mul(c, b)) for a, b in zip(_matvec(ctx, A._vals, acc), u)]
+        acc = ctx._matvec(A._vals, acc)
+        if c != zero:
+            ctx._submul(acc, neg(c), enumerate(u))
     return acc
 
 
@@ -403,17 +394,16 @@ class _Echelon:
         if len(work) != self.width:
             raise SizeMismatch("vector of length %d in width-%d echelon" % (len(work), self.width))
         ctx = self.ctx
-        zero, add, sub, mul = ctx.zero.val, ctx._add, ctx._sub, ctx._mul
+        zero, neg, submul, submul_sparse = ctx.zero.val, ctx._neg, ctx._submul, ctx._submul_sparse
         acc = {}
         for pivot, row, combo in self.rows:
             c = work[pivot]
             if c == zero:
                 continue
-            for i, rv in row.items():
-                work[i] = sub(work[i], mul(c, rv))
-            for t, v in combo.items():
-                acc[t] = add(acc.get(t, zero), mul(c, v))
-        return work, {t: v for t, v in acc.items() if v != zero}
+            submul(work, c, row.items())
+            if combo:
+                submul_sparse(acc, neg(c), combo.items())
+        return work, acc
 
     def insert(self, vec, tag=None):
         """Add a vector.  Returns None if independent, else the
@@ -421,27 +411,25 @@ class _Echelon:
         the seed span."""
         work, acc = self._reduce(vec)
         ctx = self.ctx
-        zero, sub, mul = ctx.zero.val, ctx._sub, ctx._mul
+        zero, submul_sparse = ctx.zero.val, ctx._submul_sparse
         piv = next((i for i, c in enumerate(work) if c != zero), None)
         if piv is None:
             return acc
         lead = work[piv]
         inv = ctx._inv(lead)
-        row_n = {i: mul(c, inv) for i, c in enumerate(work) if c != zero}
-        combo_n = {t: mul(ctx._neg(v), inv) for t, v in acc.items()}
+        # row_n = work / lead and combo_n = -acc / lead, through the kernel
+        row_n, combo_n = {}, {}
+        submul_sparse(row_n, ctx._neg(inv), enumerate(work[piv:], piv))
+        submul_sparse(combo_n, inv, acc.items())
         if tag is not None:
             combo_n[tag] = ctx._add(combo_n.get(tag, zero), inv)
         for _, row, combo in self.rows:
             c = row.get(piv)
             if c is None:
                 continue
-            for target, new in ((row, row_n), (combo, combo_n)):
-                for k, v in new.items():
-                    d = sub(target.get(k, zero), mul(c, v))
-                    if d == zero:
-                        target.pop(k, None)
-                    else:
-                        target[k] = d
+            submul_sparse(row, c, row_n.items())
+            if combo_n:
+                submul_sparse(combo, c, combo_n.items())
         self.rows.append((piv, row_n, combo_n))
         self.leads.append(lead)
         return None
@@ -500,7 +488,7 @@ def _coset_order(A, u, seeds):
             coeffs[k] = ctx.one.val
             return Poly._from_vals(ctx, coeffs), chain
         chain.append(vec)
-        vec = _matvec(ctx, A._vals, vec)
+        vec = ctx._matvec(A._vals, vec)
         k += 1
 
 
@@ -537,7 +525,9 @@ def frobenius_form(A):
     all_krylov = []
     dim = 0
     while dim < n:
-        u, f = None, None
+        # u_chain: the Krylov chain of u while u is still a scanned unit
+        # vector, whose `_coset_order` already returned it
+        u, f, u_chain = None, None, None
         # span of all_krylov and of the Krylov chains of the unit vectors
         # scanned this round: a unit vector inside it lies in the module
         # the scanned ones generate modulo all_krylov, so its order divides f
@@ -554,17 +544,17 @@ def frobenius_form(A):
             for v in chain:
                 scanned.insert(v)
             if u is None:
-                u, f = e, g
+                u, f, u_chain = e, g, chain
                 continue
             if (f % g).is_zero():
                 continue
             if (g % f).is_zero():
-                u, f = e, g
+                u, f, u_chain = e, g, chain
                 continue
             f1, g1 = _lcm_coprime_split(f, g)
             pair = zip(_poly_apply(f // f1, A, u), _poly_apply(g // g1, A, e))
             u = [ctx._add(a, b) for a, b in pair]
-            f = f1 * g1
+            f, u_chain = f1 * g1, None
         fu = _poly_apply(f, A, u)
         if chains:
             ech = _Echelon(ctx, n)
@@ -582,11 +572,14 @@ def frobenius_form(A):
                 if not r.is_zero():
                     raise VerificationError("conductor fails to divide a chain coefficient")
                 u = [ctx._sub(a, b) for a, b in zip(u, _poly_apply(q, A, v))]
+                u_chain = None
         elif any(c != zero for c in fu):
             raise VerificationError("minimal polynomial does not annihilate its witness")
-        g, chain = _coset_order(A, u, all_krylov)
-        if not (g - f).is_zero() or len(chain) != f.degree:
-            raise VerificationError("corrected generator changed order")
+        chain = u_chain
+        if chain is None:
+            g, chain = _coset_order(A, u, all_krylov)
+            if not (g - f).is_zero() or len(chain) != f.degree:
+                raise VerificationError("corrected generator changed order")
         chains.append((u, f, chain))
         all_krylov.extend(chain)
         dim += f.degree

@@ -3,13 +3,15 @@
 A Poly is an immutable coefficient tuple (constant term first) over one
 FieldCtx.  Like `Matrix`, it keeps its coefficients as raw field payloads
 (`_vals`) and runs its arithmetic on them through the context's
-`_add/_sub/_mul/_neg/_inv`; results are built by `Poly._from_vals`, which
-neither coerces nor boxes, and `coeffs` boxes the payloads as FieldElems
-on first read.  The public constructor coerces what it is given.  The
-module provides the arithmetic the rest of the package
-leans on: gcd/xgcd, modular composition, CRT, squarefree decomposition,
-full factorization over Q and over finite fields (including extension
-towers over F_p), and root-finding inside a named extension.
+`_add/_sub/_mul/_neg/_inv`; products and division update their working
+row once per coefficient through the context's `_submul` kernel.
+Results are built by `Poly._from_vals`, which neither coerces nor boxes,
+and `coeffs` boxes the payloads as FieldElems on first read.  The public
+constructor coerces what it is given.  The module provides the
+arithmetic the rest of the package leans on: gcd/xgcd, modular
+composition, CRT, squarefree decomposition, full factorization over Q
+and over finite fields (including extension towers over F_p), and
+root-finding inside a named extension.
 
 Factorization routes:
   * finite fields: squarefree split (with p-th root descent), then
@@ -196,13 +198,11 @@ class Poly:
         a, b = self._vals, other._vals
         if not a or not b:
             return Poly.zero(ctx)
-        zero, add, mul = ctx.zero.val, ctx._add, ctx._mul
+        zero, neg, submul = ctx.zero.val, ctx._neg, ctx._submul
         out = [zero] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] = add(out[i + j], mul(x, y))
+            if x != zero:
+                submul(out, neg(x), enumerate(b, i))
         return Poly._from_vals(ctx, out)
 
     __rmul__ = __mul__
@@ -228,7 +228,7 @@ class Poly:
         ctx = self.ctx
         if self.degree < other.degree:
             return Poly.zero(ctx), self
-        zero, sub, mul = ctx.zero.val, ctx._sub, ctx._mul
+        zero, mul, submul = ctx.zero.val, ctx._mul, ctx._submul
         b = other._vals
         inv = ctx._inv(b[-1])
         r = list(self._vals)
@@ -238,8 +238,7 @@ class Poly:
             if c == zero:
                 continue
             q[k] = c
-            for i, bc in enumerate(b):
-                r[k + i] = sub(r[k + i], mul(c, bc))
+            submul(r, c, enumerate(b, k))
         return Poly._from_vals(ctx, q), Poly._from_vals(ctx, r[: len(b) - 1])
 
     def __floordiv__(self, other):

@@ -18,7 +18,7 @@ from centtype import (
     prime_field,
     rationals,
 )
-from centtype.exactfield import FieldElem, _is_prime, random_elem
+from centtype.exactfield import FieldCtx, FieldElem, _is_prime, random_elem
 from centtype.upoly import poly_embed
 
 
@@ -272,3 +272,55 @@ def test_extension_boundary_round_trips(name):
         assert len(set(elems)) == L.order()
         assert all(_raw(L, e.val) and L.coerce(list(e.val)) == e for e in elems)
         assert sorted(elems, key=FieldElem.key) == elems
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2**61 - 1])
+def test_prime_field_row_kernels_match_the_generic_bodies(p):
+    """Each PrimeField row kernel gives what the generic FieldCtx body it
+    overrides gives, with every payload in [0, p): on random inputs, with
+    c = 0, with empty items, and with entries that cancel to zero, which
+    the sparse kernel must drop."""
+    F = prime_field(p)
+    rng = random.Random(p)
+
+    def vals(k):
+        return [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(k)]
+
+    def in_range(xs):
+        return all(isinstance(x, int) and 0 <= x < p for x in xs)
+
+    for _ in range(40):
+        n, m = rng.randint(0, 5), rng.randint(1, 6)
+        rows, vec = [vals(m) for _ in range(n)], vals(m)
+        got = F._matvec(rows, vec)
+        assert got == FieldCtx._matvec(F, rows, vec)
+        assert len(got) == n and in_range(got)
+
+        c = rng.randrange(1, p)
+        inv = pow(c, -1, p)
+        work = vals(m)
+        target = {k: v for k, v in enumerate(vals(m)) if v}
+        # the first dense and sparse items cancel their entry to zero; the
+        # rest are random, some on indices the sparse target does not hold
+        dense_items = [(0, work[0] * inv % p)] + [(i, rng.randrange(p)) for i in range(1, m)]
+        kill = next(iter(target), m)
+        sparse_items = [(kill, target.get(kill, 0) * inv % p)]
+        sparse_items += [(k, rng.randrange(p)) for k in range(m + 2) if k != kill]
+        cases = ((c, dense_items, sparse_items), (0, dense_items, sparse_items), (c, [], []))
+        for cc, dense, sparse in cases:
+            a, b = list(work), list(work)
+            F._submul(a, cc, dense)
+            FieldCtx._submul(F, b, cc, dense)
+            assert a == b and in_range(a)
+            if cc and dense:
+                assert a[0] == 0
+            if not cc or not dense:
+                assert a == work
+            ta, tb = dict(target), dict(target)
+            F._submul_sparse(ta, cc, sparse)
+            FieldCtx._submul_sparse(F, tb, cc, sparse)
+            assert ta == tb and in_range(ta.values()) and 0 not in ta.values()
+            if cc and sparse:
+                assert kill not in ta
+            if not cc or not sparse:
+                assert ta == target
