@@ -230,12 +230,6 @@ class FieldCtx:
     def is_finite(self):
         return self.order() is not None
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
 
 class RationalField(FieldCtx):
     """The field of rational numbers with canonical Fraction payloads."""

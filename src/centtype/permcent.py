@@ -46,6 +46,8 @@ class Permutation:
     def from_cycles(cls, cycles, n=None):
         top = max((p for c in cycles for p in c), default=0)
         n = top if n is None else n
+        if n < 0:
+            raise ParseError("degree must be non-negative, got %d" % n)
         if n < top:
             raise ParseError("cycle point %d exceeds degree %d" % (top, n))
         imgs = list(range(1, n + 1))
@@ -64,21 +66,7 @@ class Permutation:
     @classmethod
     def parse(cls, text, n=None):
         """Cycle notation like '(1 2)(3 4)'; '()' is the identity."""
-        s = text.strip()
-        if s in ("", "()", "id", "e"):
-            return cls.identity(n or 0)
-        if s[0] != "(" or s[-1] != ")":
-            raise ParseError("bad cycle notation %r" % text)
-        cycles = []
-        for chunk in s[1:-1].split(")("):
-            pts = chunk.replace(",", " ").split()
-            if not pts:
-                raise ParseError("empty cycle in %r" % text)
-            try:
-                cycles.append(tuple(int(p) for p in pts))
-            except ValueError as exc:
-                raise ParseError("bad cycle point in %r" % text) from exc
-        return cls.from_cycles(cycles, n=n)
+        return cls.from_cycles(parse_cycles(text), n=n)
 
     @property
     def degree(self):
@@ -170,10 +158,29 @@ class Permutation:
         return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cs)
 
 
+def parse_cycles(text):
+    """The cycles written in cycle notation, as tuples of points."""
+    s = text.strip()
+    if s in ("", "()", "id", "e"):
+        return ()
+    if s[0] != "(" or s[-1] != ")":
+        raise ParseError("bad cycle notation %r" % text)
+    cycles = []
+    for chunk in s[1:-1].split(")("):
+        pts = chunk.replace(",", " ").split()
+        if not pts:
+            raise ParseError("empty cycle in %r" % text)
+        try:
+            cycles.append(tuple(int(p) for p in pts))
+        except ValueError as exc:
+            raise ParseError("bad cycle point in %r" % text) from exc
+    return tuple(cycles)
+
+
 class CycleLayers:
     """Cycles of one permutation grouped by length, layer by layer."""
 
-    __slots__ = ("degree", "images", "even", "_cycles", "_supports", "_limages")
+    __slots__ = ("degree", "images", "even", "_cycles", "_supports")
 
     def __init__(self, g):
         self.degree = g.degree
@@ -187,7 +194,6 @@ class CycleLayers:
         self._supports = {
             i: frozenset(p for c in cs for p in c) for i, cs in self._cycles.items()
         }
-        self._limages = {}
 
     def lengths(self):
         return tuple(sorted(self._cycles))
@@ -198,47 +204,43 @@ class CycleLayers:
     def support(self, i):
         return self._supports.get(i, frozenset())
 
-    def layer_images(self, i):
-        """Image tuple of v_i, the product of the length-i cycles."""
-        cached = self._limages.get(i)
-        if cached is None:
-            imgs = list(range(1, self.degree + 1))
-            for c in self.cycles(i):
-                for j, p in enumerate(c):
-                    imgs[p - 1] = c[(j + 1) % i]
-            cached = tuple(imgs)
-            self._limages[i] = cached
-        return cached
-
 
 def cycle_layers(g):
     return CycleLayers(g)
 
 
-def _layer_is_power(cycles_a, images_b, i, k):
-    # does the layer of b equal (layer of a)^k on the cycles of a
-    for c in cycles_a:
+def _cycle_power(cycles, images, i):
+    """The k in [1, i) coprime with i such that `images` maps every point
+    of the length-i `cycles` as their product to the power k, or None.
+
+    The image of the first point fixes k, since the points of a cycle
+    are distinct; the rest only confirm it.
+    """
+    c = cycles[0]
+    try:
+        k = c.index(images[c[0] - 1])
+    except ValueError:
+        return None
+    if math.gcd(k, i) != 1:
+        return None
+    for c in cycles:
         for j, p in enumerate(c):
-            if images_b[p - 1] != c[(j + k) % i]:
-                return False
-    return True
+            if images[p - 1] != c[(j + k) % i]:
+                return None
+    return k
 
 
 def _local_k(la, lb, i):
-    """Smallest k in [1, i] coprime with i such that w_i = v_i^k."""
+    """The k in [1, i) coprime with i such that w_i = v_i^k (1 at i = 1)."""
     ca = la.cycles(i)
-    cb = lb.cycles(i)
-    if not ca and not cb:
+    if not ca and not lb.cycles(i):
         return 1
     if la.support(i) != lb.support(i):
         return None
     if i == 1:
         return 1
-    ib = lb.layer_images(i)
-    for k in range(1, i + 1):
-        if math.gcd(k, i) == 1 and _layer_is_power(ca, ib, i, k):
-            return k
-    return None
+    # on the common support of the i-layers, h's images are those of w_i
+    return _cycle_power(ca, lb.images, i)
 
 
 def locally_equivalent(g, h, i):
@@ -366,20 +368,8 @@ def _pattern_a4(la, lb, m):
         return None
     if not (_elsewhere_odd_distinct(la, {m}) and _elsewhere_odd_distinct(lb, {m})):
         return None
-    ib = lb.layer_images(m)
-    exps = []
-    for c in ca:
-        target = ib[c[0] - 1]
-        try:
-            e = c.index(target)
-        except ValueError:
-            return None
-        if math.gcd(e, m) != 1:
-            return None
-        if not _layer_is_power((c,), ib, m, e):
-            return None
-        exps.append(e)
-    if exps[0] % m == exps[1] % m:
+    exps = [_cycle_power((c,), lb.images, m) for c in ca]
+    if None in exps or exps[0] == exps[1]:
         return None
     return {"length": m, "exponents": exps}
 

@@ -3,21 +3,31 @@ exhaustive oracle comparisons that double as the acceptance evidence.
 
 Each suite derives every instance from a single master seed, so runs
 are reproducible and the report is byte-stable.  Failures carry the
-offending inputs verbatim; those of the seeded suites also carry the
-instance's sub-seed, from which the suite's worker replays the instance
-alone.  Suites that consist of independent instances can fan out over a
-process pool (--jobs); aggregation is order-independent.
+offending inputs verbatim.
+
+The seeded suites (centdim, nilpclass, dominance, witness-roundtrip, jc,
+extension-separable) share one runner and differ only in their
+mathematical check.  An instance is a task identity, a dict of its
+"instance" index, its "field" (or "p"), its 64-bit sub-seed "seed" and,
+for jc, its "kind".  `_seeded_worker(check, task)` runs
+`check(random.Random(task["seed"]), task)`; a check returns None or the
+detail fields of a failure, and an exception becomes an "error" field.
+Every failure record is the identity plus those fields, so calling
+`_seeded_worker(check, identity)` on a record's identity replays it.
+
+Suites that consist of independent instances can fan out over a process
+pool (--jobs); aggregation is order-independent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .centkit import (
     cent_conjugate_bruteforce,
@@ -36,7 +46,7 @@ from .construct import (
     random_partition,
 )
 from .errors import ParseError, TooLarge, UnknownSuite
-from .exactfield import extension_field, make_field, prime_field
+from .exactfield import extension_field, make_field, prime_field, random_elem
 from .exactmat import (
     block_diag,
     companion,
@@ -99,139 +109,107 @@ def _collect(results):
     return failures
 
 
+# -- the seeded-suite runner --
+
 _FIELD_TAGS = ("Q", "F2", "F3", "F5")
+
+
+def _seeded_worker(check, task):
+    """Failure record of one seeded instance, or None if it passes."""
+    try:
+        details = check(random.Random(task["seed"]), task)
+    except Exception as exc:  # a crash is a failure, not an excuse
+        details = {"error": repr(exc)}
+    return None if details is None else {**task, **details}
+
+
+def _seeded_suite(check, default_scale, draw, seed, scale, jobs):
+    scale = default_scale if scale is None else scale
+    tasks = draw(random.Random(seed), scale)
+    results = _map_tasks(functools.partial(_seeded_worker, check), tasks, jobs)
+    return scale, len(tasks), _collect(results)
+
+
+def _drawn_tasks(master, count, values=_FIELD_TAGS, key="field", start=0, **extra):
+    """Identities of instances start, start+1, ...: each draws its `key`
+    from `values`, then a sub-seed."""
+    return [
+        {
+            "instance": i,
+            **extra,
+            key: values[master.randrange(len(values))],
+            "seed": master.getrandbits(64),
+        }
+        for i in range(start, start + count)
+    ]
 
 
 # -- centdim --
 
 
-def _centdim_worker(task):
-    idx, tag, sub = task
-    try:
-        rng = random.Random(sub)
-        ctx = make_field(tag)
-        n = rng.randint(1, 5 if tag == "Q" else 6)
-        m = random_matrix(ctx, n, rng)
-        got = cent_dim(m)
-        want = cent_dim_formula(cycle_type(m, seed=rng.getrandbits(32)))
-        if got != want:
-            return {
-                "instance": idx,
-                "field": tag,
-                "seed": sub,
-                "matrix": matrix_to_json(m),
-                "formula": want,
-                "commutant": got,
-            }
-    except Exception as exc:  # a crash is a failure, not an excuse
-        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
-    return None
-
-
-def _suite_centdim(seed, scale, jobs):
-    scale = 200 if scale is None else scale
-    master = random.Random(seed)
-    tasks = [
-        (i * len(_FIELD_TAGS) + k, tag, master.getrandbits(64))
+def _centdim_tasks(master, scale):
+    return [
+        {"instance": i * len(_FIELD_TAGS) + k, "field": tag, "seed": master.getrandbits(64)}
         for i in range(scale)
         for k, tag in enumerate(_FIELD_TAGS)
     ]
-    return scale, len(tasks), _collect(_map_tasks(_centdim_worker, tasks, jobs))
+
+
+def _check_centdim(rng, task):
+    ctx = make_field(task["field"])
+    n = rng.randint(1, 5 if task["field"] == "Q" else 6)
+    m = random_matrix(ctx, n, rng)
+    got = cent_dim(m)
+    want = cent_dim_formula(cycle_type(m, seed=rng.getrandbits(32)))
+    if got != want:
+        return {"matrix": matrix_to_json(m), "formula": want, "commutant": got}
+    return None
 
 
 # -- nilpclass --
 
 
-def _nilpclass_worker(task):
-    idx, tag, sub = task
-    try:
-        rng = random.Random(sub)
-        ctx = make_field(tag)
-        d = rng.randint(1, 2 if tag == "Q" else 3)
-        lam = random_partition(rng.randint(1, 4 if tag != "Q" else 3), rng)
-        f = random_irreducible(ctx, d, rng)
-        m = primary_matrix(f, lam, rng)
-        nil = mat_eval_poly(f, m)
-        ct = cycle_type(nil, seed=rng.getrandbits(32))
-        want = ((Poly.x(ctx), lam.replicate(d)),)
-        if ct.entries != want or not (nil**m.nrows).is_zero_matrix():
-            return {
-                "instance": idx,
-                "field": tag,
-                "seed": sub,
-                "f": str(f),
-                "partition": list(lam.parts),
-                "got": str(ct),
-            }
-    except Exception as exc:
-        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
+def _check_nilpclass(rng, task):
+    ctx = make_field(task["field"])
+    q = task["field"] == "Q"
+    d = rng.randint(1, 2 if q else 3)
+    lam = random_partition(rng.randint(1, 3 if q else 4), rng)
+    f = random_irreducible(ctx, d, rng)
+    m = primary_matrix(f, lam, rng)
+    nil = mat_eval_poly(f, m)
+    ct = cycle_type(nil, seed=rng.getrandbits(32))
+    want = ((Poly.x(ctx), lam.replicate(d)),)
+    if ct.entries != want or not (nil**m.nrows).is_zero_matrix():
+        return {"f": str(f), "partition": list(lam.parts), "got": str(ct)}
     return None
-
-
-def _suite_nilpclass(seed, scale, jobs):
-    scale = 100 if scale is None else scale
-    master = random.Random(seed)
-    tasks = [
-        (i, _FIELD_TAGS[master.randrange(len(_FIELD_TAGS))], master.getrandbits(64))
-        for i in range(scale)
-    ]
-    return scale, len(tasks), _collect(_map_tasks(_nilpclass_worker, tasks, jobs))
 
 
 # -- dominance --
 
 
-def _dominance_worker(task):
-    idx, tag, sub = task
-    try:
-        rng = random.Random(sub)
-        ctx = make_field(tag)
-        d = rng.randint(1, 2 if tag == "Q" else 3)
-        lam = random_partition(rng.randint(1, 3 if tag == "Q" else 4), rng)
-        f = random_irreducible(ctx, d, rng)
-        x = primary_matrix(f, lam, rng)
-        hdeg = rng.randint(0, 4)
-        hcoeffs = [
-            ctx.elem(rng.randrange(ctx.order()))
-            if ctx.is_finite()
-            else ctx.elem(Fraction(rng.randint(-4, 4)))
-            for _ in range(hdeg + 1)
-        ]
-        if rng.random() < 0.1:
-            hcoeffs = []
-        h = Poly(ctx, hcoeffs)
-        gt = green_type(mat_eval_poly(h, x), seed=rng.getrandbits(32))
-        ok = len(gt.entries) == 1
-        if ok:
-            e, mu = gt.entries[0]
-            ok = (
-                d % e == 0
-                and e * mu.size == d * lam.size
-                and dominance_leq(mu.replicate(e), lam.replicate(d))
-            )
-        if not ok:
-            return {
-                "instance": idx,
-                "field": tag,
-                "seed": sub,
-                "f": str(f),
-                "partition": list(lam.parts),
-                "h": str(h),
-                "got": str(gt),
-            }
-    except Exception as exc:
-        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
+def _check_dominance(rng, task):
+    ctx = make_field(task["field"])
+    q = task["field"] == "Q"
+    d = rng.randint(1, 2 if q else 3)
+    lam = random_partition(rng.randint(1, 3 if q else 4), rng)
+    f = random_irreducible(ctx, d, rng)
+    x = primary_matrix(f, lam, rng)
+    hcoeffs = [random_elem(ctx, rng, 4) for _ in range(rng.randint(0, 4) + 1)]
+    if rng.random() < 0.1:
+        hcoeffs = []
+    h = Poly(ctx, hcoeffs)
+    gt = green_type(mat_eval_poly(h, x), seed=rng.getrandbits(32))
+    ok = len(gt.entries) == 1
+    if ok:
+        e, mu = gt.entries[0]
+        ok = (
+            d % e == 0
+            and e * mu.size == d * lam.size
+            and dominance_leq(mu.replicate(e), lam.replicate(d))
+        )
+    if not ok:
+        return {"f": str(f), "partition": list(lam.parts), "h": str(h), "got": str(gt)}
     return None
-
-
-def _suite_dominance(seed, scale, jobs):
-    scale = 200 if scale is None else scale
-    master = random.Random(seed)
-    tasks = [
-        (i, _FIELD_TAGS[master.randrange(len(_FIELD_TAGS))], master.getrandbits(64))
-        for i in range(scale)
-    ]
-    return scale, len(tasks), _collect(_map_tasks(_dominance_worker, tasks, jobs))
 
 
 # -- main-theorem-f2 --
@@ -315,127 +293,79 @@ def _suite_main_theorem_f2(seed, scale, jobs):
 # -- witness-roundtrip --
 
 
-def _witness_worker(task):
-    idx, tag, sub = task
-    try:
-        rng = random.Random(sub)
-        ctx = make_field(tag)
-        cap = 8 if tag == "Q" else 10
-        comps = []
-        f, g = equivalent_pair(ctx, rng)
-        lam = random_partition(rng.randint(1, 3), rng)
-        comps.append((f, g, lam))
-        if rng.random() < 0.25:
-            for _ in range(30):
-                f2, g2 = equivalent_pair(ctx, rng)
-                if f2 != f and g2 != g:
-                    lam2 = random_partition(rng.randint(1, 2), rng)
-                    if f.degree * lam.size + f2.degree * lam2.size <= cap:
-                        comps.append((f2, g2, lam2))
-                    break
-        u = random_invertible(ctx, sum(f.degree * l.size for f, _, l in comps), rng, 2)
-        v = random_invertible(ctx, u.nrows, rng, 2)
-        bx = block_diag([primary_matrix(f, l, rng, conjugate=False) for f, _, l in comps])
-        by = block_diag([primary_matrix(g, l, rng, conjugate=False) for _, g, l in comps])
-        x = u * bx * u.inverse()
-        y = v * by * v.inverse()
-        got = witness_polynomials(x, y, seed=rng.getrandbits(32))
-        if got is None:
-            raise AssertionError("no witness for an equal-type pair")
-        p, q = got
-        px = mat_eval_poly(p, x)
-        ok = (
-            frobenius_form(px).invariant_factors == frobenius_form(y).invariant_factors
-            and frobenius_form(mat_eval_poly(q, y)).invariant_factors
-            == frobenius_form(x).invariant_factors
-            and cent_span_equal(px, x)
-        )
-        if not ok:
-            return {
-                "instance": idx,
-                "field": tag,
-                "seed": sub,
-                "components": [[str(f), str(g), list(l.parts)] for f, g, l in comps],
-                "p": str(p),
-                "q": str(q),
-            }
-    except Exception as exc:
-        return {"instance": idx, "field": tag, "seed": sub, "error": repr(exc)}
+def _check_witness(rng, task):
+    ctx = make_field(task["field"])
+    cap = 8 if task["field"] == "Q" else 10
+    comps = []
+    f, g = equivalent_pair(ctx, rng)
+    lam = random_partition(rng.randint(1, 3), rng)
+    comps.append((f, g, lam))
+    if rng.random() < 0.25:
+        for _ in range(30):
+            f2, g2 = equivalent_pair(ctx, rng)
+            if f2 != f and g2 != g:
+                lam2 = random_partition(rng.randint(1, 2), rng)
+                if f.degree * lam.size + f2.degree * lam2.size <= cap:
+                    comps.append((f2, g2, lam2))
+                break
+    u = random_invertible(ctx, sum(f.degree * l.size for f, _, l in comps), rng, 2)
+    v = random_invertible(ctx, u.nrows, rng, 2)
+    bx = block_diag([primary_matrix(f, l, rng, conjugate=False) for f, _, l in comps])
+    by = block_diag([primary_matrix(g, l, rng, conjugate=False) for _, g, l in comps])
+    x = u * bx * u.inverse()
+    y = v * by * v.inverse()
+    got = witness_polynomials(x, y, seed=rng.getrandbits(32))
+    if got is None:
+        raise AssertionError("no witness for an equal-type pair")
+    p, q = got
+    px = mat_eval_poly(p, x)
+    ok = (
+        frobenius_form(px).invariant_factors == frobenius_form(y).invariant_factors
+        and frobenius_form(mat_eval_poly(q, y)).invariant_factors
+        == frobenius_form(x).invariant_factors
+        and cent_span_equal(px, x)
+    )
+    if not ok:
+        return {
+            "components": [[str(f), str(g), list(l.parts)] for f, g, l in comps],
+            "p": str(p),
+            "q": str(q),
+        }
     return None
-
-
-def _suite_witness(seed, scale, jobs):
-    scale = 100 if scale is None else scale
-    master = random.Random(seed)
-    tags = ("Q", "F3", "F5")
-    tasks = [
-        (i, tags[master.randrange(len(tags))], master.getrandbits(64))
-        for i in range(scale)
-    ]
-    return scale, len(tasks), _collect(_map_tasks(_witness_worker, tasks, jobs))
 
 
 # -- jc --
 
 
-def _jc_worker(task):
-    idx, kind, tag, sub = task
-    try:
-        rng = random.Random(sub)
-        ctx = make_field(tag)
-        n = rng.randint(1, 4 if tag == "Q" else 5)
-        m = random_matrix(ctx, n, rng, bound=4)
-        dec = jordan_chevalley(m)
-        s, nil = dec.semisimple, dec.nilpotent
+def _jc_tasks(master, scale):
+    return _drawn_tasks(master, scale, kind="plain") + _drawn_tasks(
+        master, max(1, scale // 5), start=scale, kind="equivariance"
+    )
+
+
+def _check_jc(rng, task):
+    ctx = make_field(task["field"])
+    n = rng.randint(1, 4 if task["field"] == "Q" else 5)
+    m = random_matrix(ctx, n, rng, bound=4)
+    dec = jordan_chevalley(m)
+    s, nil = dec.semisimple, dec.nilpotent
+    ok = (
+        s + nil == m
+        and s * nil == nil * s
+        and (nil**n).is_zero_matrix()
+        and squarefree_part(minpoly(s)) == minpoly(s).monic()
+        and mat_eval_poly(dec.poly, m) == s
+    )
+    if ok and task["kind"] == "equivariance":
+        p = random_invertible(ctx, n, rng, 2)
+        moved = jordan_chevalley(p * m * p.inverse())
         ok = (
-            s + nil == m
-            and s * nil == nil * s
-            and (nil**n).is_zero_matrix()
-            and squarefree_part(minpoly(s)) == minpoly(s).monic()
-            and mat_eval_poly(dec.poly, m) == s
+            moved.semisimple == p * s * p.inverse()
+            and moved.nilpotent == p * nil * p.inverse()
         )
-        if ok and kind == "equivariance":
-            p = random_invertible(ctx, n, rng, 2)
-            moved = jordan_chevalley(p * m * p.inverse())
-            ok = (
-                moved.semisimple == p * s * p.inverse()
-                and moved.nilpotent == p * nil * p.inverse()
-            )
-        if not ok:
-            return {
-                "instance": idx,
-                "kind": kind,
-                "field": tag,
-                "seed": sub,
-                "matrix": matrix_to_json(m),
-            }
-    except Exception as exc:
-        return {"instance": idx, "kind": kind, "field": tag, "seed": sub, "error": repr(exc)}
+    if not ok:
+        return {"matrix": matrix_to_json(m)}
     return None
-
-
-def _suite_jc(seed, scale, jobs):
-    scale = 100 if scale is None else scale
-    master = random.Random(seed)
-    tasks = [
-        (
-            i,
-            "plain",
-            _FIELD_TAGS[master.randrange(len(_FIELD_TAGS))],
-            master.getrandbits(64),
-        )
-        for i in range(scale)
-    ]
-    for i in range(max(1, scale // 5)):
-        tasks.append(
-            (
-                scale + i,
-                "equivariance",
-                _FIELD_TAGS[master.randrange(len(_FIELD_TAGS))],
-                master.getrandbits(64),
-            )
-        )
-    return scale, len(tasks), _collect(_map_tasks(_jc_worker, tasks, jobs))
 
 
 # -- partition-formulas --
@@ -550,66 +480,44 @@ def _suite_oracle(group, seed, scale, jobs):
     return n, len(pairs), _collect(results)
 
 
-def _suite_sn_oracle(seed, scale, jobs):
-    return _suite_oracle("S", seed, scale, jobs)
-
-
-def _suite_an_oracle(seed, scale, jobs):
-    return _suite_oracle("A", seed, scale, jobs)
-
-
 # -- extension-separable --
 
 
-def _extsep_worker(task):
-    idx, p, sub = task
-    try:
-        rng = random.Random(sub)
-        base = prime_field(p)
-        d = rng.randint(1, 3)
-        lam = random_partition(rng.randint(1, 3), rng)
-        f = random_irreducible(base, d, rng)
-        x = primary_matrix(f, lam, rng)
-        ext = extension_field(base, f, check=False)
-        ct = cycle_type(matrix_embed(x, ext), seed=rng.getrandbits(32))
-        ok = len(ct.entries) == d and all(
-            g.degree == 1 and mu == lam for g, mu in ct.entries
-        )
-        if not ok:
-            return {
-                "instance": idx,
-                "p": p,
-                "seed": sub,
-                "f": str(f),
-                "partition": list(lam.parts),
-                "got": str(ct),
-            }
-    except Exception as exc:
-        return {"instance": idx, "p": p, "seed": sub, "error": repr(exc)}
+def _check_extsep(rng, task):
+    base = prime_field(task["p"])
+    d = rng.randint(1, 3)
+    lam = random_partition(rng.randint(1, 3), rng)
+    f = random_irreducible(base, d, rng)
+    x = primary_matrix(f, lam, rng)
+    ext = extension_field(base, f, check=False)
+    ct = cycle_type(matrix_embed(x, ext), seed=rng.getrandbits(32))
+    ok = len(ct.entries) == d and all(g.degree == 1 and mu == lam for g, mu in ct.entries)
+    if not ok:
+        return {"f": str(f), "partition": list(lam.parts), "got": str(ct)}
     return None
 
 
-def _suite_ext_separable(seed, scale, jobs):
-    scale = 50 if scale is None else scale
-    master = random.Random(seed)
-    primes = (2, 3, 5)
-    tasks = [
-        (i, primes[master.randrange(3)], master.getrandbits(64)) for i in range(scale)
-    ]
-    return scale, len(tasks), _collect(_map_tasks(_extsep_worker, tasks, jobs))
-
-
 _SUITES = {
-    "centdim": _suite_centdim,
-    "nilpclass": _suite_nilpclass,
-    "dominance": _suite_dominance,
+    "centdim": functools.partial(_seeded_suite, _check_centdim, 200, _centdim_tasks),
+    "nilpclass": functools.partial(_seeded_suite, _check_nilpclass, 100, _drawn_tasks),
+    "dominance": functools.partial(_seeded_suite, _check_dominance, 200, _drawn_tasks),
     "main-theorem-f2": _suite_main_theorem_f2,
-    "witness-roundtrip": _suite_witness,
-    "sn-oracle": _suite_sn_oracle,
-    "an-oracle": _suite_an_oracle,
+    "witness-roundtrip": functools.partial(
+        _seeded_suite,
+        _check_witness,
+        100,
+        functools.partial(_drawn_tasks, values=("Q", "F3", "F5")),
+    ),
+    "sn-oracle": functools.partial(_suite_oracle, "S"),
+    "an-oracle": functools.partial(_suite_oracle, "A"),
     "partition-formulas": _suite_partition_formulas,
-    "jc": _suite_jc,
-    "extension-separable": _suite_ext_separable,
+    "jc": functools.partial(_seeded_suite, _check_jc, 100, _jc_tasks),
+    "extension-separable": functools.partial(
+        _seeded_suite,
+        _check_extsep,
+        50,
+        functools.partial(_drawn_tasks, values=(2, 3, 5), key="p"),
+    ),
 }
 
 

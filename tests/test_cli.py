@@ -103,6 +103,37 @@ def test_perm_subcommand():
     assert json.loads(proc.stdout)["equal"] is False
 
 
+def _cap_address_space():
+    # an uncapped image list of 10^8 points would need tens of GB: fail
+    # with MemoryError (exit 5) instead of exhausting the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (("(1 100000000)", "()"), "TooLarge"),
+        (("(1 2)", "()", "--n", "100001"), "TooLarge"),
+        (("()", "()", "--n", "-1"), "ParseError"),
+    ],
+    ids=["cycle point over the cap", "degree over the cap", "negative degree"],
+)
+def test_perm_degree_over_the_cap_or_negative(args, error):
+    """Degrees over MAX_PERM_DEGREE are refused before any image list is
+    built; a negative degree is a parse error, not the empty permutation."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "centtype.cli", "perm", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == (4 if error == "TooLarge" else 2), proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == error
+
+
 def test_perm_odd_input_rejected():
     proc = run_cli("perm", "(1 2)", "(1 2)", "--group", "an")
     assert proc.returncode == 4

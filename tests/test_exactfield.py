@@ -199,6 +199,13 @@ def test_field_equality_and_interning():
     assert extension_field(F3, Poly(F3, [1, 0, 1])) == extension_field(
         F3, Poly(F3, [1, 0, 1])
     )
+    F5, Q = prime_field(5), rationals()
+    F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
+    assert F5 != Q and Q != F5 and not (F5 != prime_field(5))
+    assert F9 != F3 and F3 != F9 and not (F9 != extension_field(F3, Poly(F3, [1, 0, 1])))
+    for ctx in (F5, Q, F9):
+        assert ctx != 5 and ctx != "F5" and ctx != None  # noqa: E711
+        assert not (ctx == None)  # noqa: E711
 
 
 def _extensions():

@@ -8,12 +8,14 @@ from centtype import (
     Partition,
     Permutation,
     Poly,
+    TooLarge,
     cycle_type,
     companion,
     prime_field,
     rationals,
 )
 from centtype.serialize import (
+    MAX_PERM_DEGREE,
     cycle_type_to_json,
     generalized_type_to_json,
     green_type_to_json,
@@ -96,3 +98,17 @@ def test_permutation_from_text():
     assert permutation_from_text([2, 1, 3]) == Permutation((2, 1, 3))
     with pytest.raises(ParseError):
         permutation_from_text("(1 2", n=3)
+
+
+def test_permutation_degree_cap():
+    cap = MAX_PERM_DEGREE
+    assert permutation_from_text("(1 %d)" % cap).degree == cap
+    assert permutation_from_text(list(range(1, cap + 1))).degree == cap
+    for val, n in (("(1 %d)" % (cap + 1), None), ("()", cap + 1), ([1, 2], cap + 1)):
+        with pytest.raises(TooLarge):
+            permutation_from_text(val, n=n)
+    with pytest.raises(TooLarge):
+        permutation_from_text(list(range(1, cap + 2)))
+    for val in ("()", "(1 2)", [2, 1]):
+        with pytest.raises(ParseError):
+            permutation_from_text(val, n=-1)

@@ -99,15 +99,45 @@ def test_workers_capped_by_tasks_and_cpus(monkeypatch):
         assert pools == []
 
 
-def test_witness_failures_replay_from_their_record(monkeypatch):
-    """A witness-roundtrip failure names its instance, field and sub-seed,
-    and rerunning the worker on those alone gives back the same record."""
+def _raise(*args, **kwargs):
+    raise RuntimeError("injected fault")
+
+
+# suite, its check, its identity keys, the name replaced, the stand-in,
+# and whether the records are error records (else detail records)
+_REPLAY_CASES = [
+    ("centdim", "_check_centdim", ("field",), "cent_dim", lambda m: -1, False),
+    ("nilpclass", "_check_nilpclass", ("field",), "cycle_type", _raise, True),
+    ("dominance", "_check_dominance", ("field",), "dominance_leq", lambda a, b: False, False),
+    (
+        "witness-roundtrip",
+        "_check_witness",
+        ("field",),
+        "witness_polynomials",
+        lambda x, y, seed=0: None,
+        True,
+    ),
+    ("jc", "_check_jc", ("kind", "field"), "squarefree_part", lambda f: None, False),
+    ("extension-separable", "_check_extsep", ("p",), "cycle_type", _raise, True),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, check, keys, name, fake, errors", _REPLAY_CASES, ids=[c[0] for c in _REPLAY_CASES]
+)
+def test_seeded_failures_replay_from_their_record(monkeypatch, suite, check, keys, name, fake, errors):
+    """A seeded suite's failure names its instance, its field (or prime),
+    its sub-seed (and kind), and running the suite's worker on those alone
+    gives back the same record."""
     import centtype.verify as verify
 
-    monkeypatch.setattr(verify, "witness_polynomials", lambda x, y, seed=0: None)
-    rep = run_suite("witness-roundtrip", scale=2)
-    assert len(rep.failures) == 2
-    first = rep.failures[0]
-    assert set(first) == {"instance", "field", "seed", "error"}
-    task = (first["instance"], first["field"], first["seed"])
-    assert verify._witness_worker(task) == first
+    monkeypatch.setattr(verify, name, fake)
+    rep = run_suite(suite, scale=2)
+    assert rep.failures
+    for record in rep.failures:
+        identity = {k: record[k] for k in ("instance", *keys, "seed")}
+        if errors:
+            assert set(record) == {*identity, "error"}
+        else:
+            assert "error" not in record and len(record) > len(identity)
+        assert verify._seeded_worker(getattr(verify, check), identity) == record
