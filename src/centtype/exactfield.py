@@ -77,6 +77,8 @@ class FieldElem:
         self.val = val
 
     def _coerce_other(self, other):
+        if isinstance(other, FieldElem) and other.ctx is self.ctx:
+            return other
         try:
             return self.ctx.coerce(other)
         except (TypeError, ValueError):
@@ -155,7 +157,7 @@ class FieldElem:
 
     def __eq__(self, other):
         if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 return NotImplemented if not isinstance(other.ctx, FieldCtx) else False
             return self.val == other.val
         coerced = self._coerce_other(other)
@@ -243,7 +245,7 @@ class RationalField(FieldCtx):
 
     def coerce(self, v):
         if isinstance(v, FieldElem):
-            if v.ctx != self:
+            if v.ctx is not self and v.ctx != self:
                 raise CtxMismatch("element of %s used over Q" % v.ctx.short_name())
             return v
         if isinstance(v, bool):
@@ -308,7 +310,7 @@ class PrimeField(FieldCtx):
 
     def coerce(self, v):
         if isinstance(v, FieldElem):
-            if v.ctx != self:
+            if v.ctx is not self and v.ctx != self:
                 raise CtxMismatch(
                     "element of %s used over %s" % (v.ctx.short_name(), self.short_name())
                 )
@@ -432,7 +434,7 @@ class ExtensionField(FieldCtx):
 
     def coerce(self, v):
         if isinstance(v, FieldElem):
-            if v.ctx == self:
+            if v.ctx is self or v.ctx == self:
                 return v
             if v.ctx == self.base:
                 return self.embed(v)

@@ -12,9 +12,17 @@ triples, and a pair of odd cycles powered by different exponents),
 each gated by an "elsewhere only odd cycles of distinct lengths"
 condition that keeps the ambient centralizer free of odd permutations.
 
-The decision procedures work on precomputed `CycleLayers`; the
-brute-force counterparts enumerate the full group and serve as
-independent oracles for small n.
+A permutation is checked once, where it enters.  `Permutation(images)`
+checks that the images are a bijection of 1..n; `from_cycles` and
+`parse` check that the cycle points are positive ints, each written
+once and at most the degree, which already makes the images a bijection.
+`identity`, `extend`, `*`, `inverse` and `**` build on checked
+permutations and check nothing again.
+
+The decision procedures work on `CycleLayers`, which one walk over the
+images fills; the brute-force counterparts enumerate the full group
+through the checking constructor and serve as independent oracles for
+small n.
 """
 
 from __future__ import annotations
@@ -39,12 +47,31 @@ class Permutation:
         self.images = imgs
 
     @classmethod
+    def _trusted(cls, images):
+        """The permutation with this tuple of int images, which the caller
+        has built as a bijection of 1..n; nothing is checked again."""
+        g = object.__new__(cls)
+        g.images = images
+        return g
+
+    @classmethod
     def identity(cls, n):
-        return cls(range(1, n + 1))
+        if n < 0:
+            raise ParseError("degree must be non-negative, got %d" % n)
+        return cls._trusted(tuple(range(1, n + 1)))
 
     @classmethod
     def from_cycles(cls, cycles, n=None):
         top = max((p for c in cycles for p in c), default=0)
+        return cls._from_cycles(cycles, n, top)
+
+    @classmethod
+    def _from_cycles(cls, cycles, n, top):
+        """`from_cycles`, given `top`, the largest point of the cycles.
+
+        Points that are positive ints, each written once and at most n,
+        already make the images a bijection, so that is all this checks.
+        """
         n = top if n is None else n
         if n < 0:
             raise ParseError("degree must be non-negative, got %d" % n)
@@ -53,15 +80,16 @@ class Permutation:
         imgs = list(range(1, n + 1))
         seen = set()
         for c in cycles:
-            for p in c:
+            m = len(c)
+            for j, p in enumerate(c):
                 if not isinstance(p, int) or p < 1:
                     raise ParseError("bad cycle point %r" % (p,))
                 if p in seen:
                     raise ParseError("point %d repeated across cycles" % p)
                 seen.add(p)
-            for j, p in enumerate(c):
-                imgs[p - 1] = c[(j + 1) % len(c)]
-        return cls(imgs)
+                imgs[p - 1] = c[j + 1 - m]  # c[(j + 1) % m]
+        # map(int) turns bool points into plain ints
+        return cls._trusted(tuple(map(int, imgs)))
 
     @classmethod
     def parse(cls, text, n=None):
@@ -77,9 +105,11 @@ class Permutation:
 
     def extend(self, n):
         """Same permutation viewed in S_n (new points fixed)."""
+        if n == self.degree:
+            return self
         if n < self.degree:
             raise ParseError("cannot shrink a permutation")
-        return Permutation(self.images + tuple(range(self.degree + 1, n + 1)))
+        return Permutation._trusted(self.images + tuple(range(self.degree + 1, n + 1)))
 
     def __mul__(self, other):
         """(g * h)(x) = g(h(x))."""
@@ -87,13 +117,13 @@ class Permutation:
             return NotImplemented
         n = max(self.degree, other.degree)
         g, h = self.extend(n), other.extend(n)
-        return Permutation(g.images[h.images[i] - 1] for i in range(n))
+        return Permutation._trusted(tuple(map(((0,) + g.images).__getitem__, h.images)))
 
     def inverse(self):
         out = [0] * self.degree
-        for i, v in enumerate(self.images):
-            out[v - 1] = i + 1
-        return Permutation(out)
+        for i, v in enumerate(self.images, 1):
+            out[v - 1] = i
+        return Permutation._trusted(tuple(out))
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -166,12 +196,12 @@ def parse_cycles(text):
     if s[0] != "(" or s[-1] != ")":
         raise ParseError("bad cycle notation %r" % text)
     cycles = []
-    for chunk in s[1:-1].split(")("):
-        pts = chunk.replace(",", " ").split()
+    for chunk in s[1:-1].replace(",", " ").split(")("):
+        pts = chunk.split()
         if not pts:
             raise ParseError("empty cycle in %r" % text)
         try:
-            cycles.append(tuple(int(p) for p in pts))
+            cycles.append(tuple(map(int, pts)))
         except ValueError as exc:
             raise ParseError("bad cycle point in %r" % text) from exc
     return tuple(cycles)
@@ -183,17 +213,31 @@ class CycleLayers:
     __slots__ = ("degree", "images", "even", "_cycles", "_supports")
 
     def __init__(self, g):
-        self.degree = g.degree
-        self.images = g.images
-        cycles = g.cycles(include_fixed=True)
-        self.even = (g.degree - len(cycles)) % 2 == 0
+        """One walk over the images, as in `Permutation.cycles`, files each
+        cycle (fixed points included) under its length."""
+        images = g.images
+        n = len(images)
+        self.degree = n
+        self.images = images
+        seen = [False] * (n + 1)
         by_len = {}
-        for c in cycles:
-            by_len.setdefault(len(c), []).append(c)
+        for start in range(1, n + 1):
+            if seen[start]:
+                continue
+            c = [start]
+            seen[start] = True
+            p = images[start - 1]
+            while p != start:
+                c.append(p)
+                seen[p] = True
+                p = images[p - 1]
+            by_len.setdefault(len(c), []).append(tuple(c))
         self._cycles = {i: tuple(cs) for i, cs in by_len.items()}
         self._supports = {
-            i: frozenset(p for c in cs for p in c) for i, cs in self._cycles.items()
+            i: frozenset(itertools.chain.from_iterable(cs)) for i, cs in by_len.items()
         }
+        # a k-cycle is k - 1 transpositions
+        self.even = (n - sum(map(len, by_len.values()))) % 2 == 0
 
     def lengths(self):
         return tuple(sorted(self._cycles))
@@ -255,9 +299,7 @@ def perm_equivalent(g, h):
     if g.degree != h.degree:
         return False
     la, lb = CycleLayers(g), CycleLayers(h)
-    return all(
-        _local_k(la, lb, i) is not None for i in set(la.lengths()) | set(lb.lengths())
-    )
+    return not _bad_layers(la, lb)
 
 
 @dataclass(frozen=True)
@@ -271,11 +313,11 @@ class VariationReport:
 
 
 def _bad_layers(la, lb):
-    out = []
-    for i in sorted(set(la.lengths()) | set(lb.lengths())):
-        if _local_k(la, lb, i) is None:
-            out.append(i)
-    return out
+    return [
+        i
+        for i in sorted(la._cycles.keys() | lb._cycles.keys())
+        if _local_k(la, lb, i) is None
+    ]
 
 
 def _pattern_s1(la, lb):
@@ -303,13 +345,8 @@ def _pattern_s2(la, lb):
 
 def _elsewhere_odd_distinct(layers, excluded):
     """Outside the excluded lengths: no even cycles, no repeated length."""
-    for i in layers.lengths():
-        if i in excluded:
-            continue
-        cs = layers.cycles(i)
-        if not cs:
-            continue
-        if i % 2 == 0 or len(cs) > 1:
+    for i, cs in layers._cycles.items():
+        if i not in excluded and (i % 2 == 0 or len(cs) > 1):
             return False
     return True
 

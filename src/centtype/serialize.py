@@ -14,7 +14,10 @@ memory.  A larger degree raises TooLarge; a number too long for Python's
 integer-string conversion limit raises ParseError.  Permutations are
 capped likewise at degree `MAX_PERM_DEGREE`, checked on the cycle
 points, the image array and the requested degree before any image list
-is built; a negative degree is a ParseError.
+is built; a negative degree is a ParseError.  Each point of cycle text
+is converted to int once, by `parse_cycles`, and checked once, by the
+checks of `Permutation.from_cycles`; the largest point, found for the
+cap, is passed on rather than found again.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from fractions import Fraction
 from .errors import ParseError, SizeMismatch, TooLarge
 from .exactfield import elem_from_json, elem_to_json, make_field
 from .exactmat import Matrix, companion
+from .permcent import Permutation, parse_cycles
 from .typealg import Partition
 from .upoly import Poly
 
@@ -173,14 +177,14 @@ def _check_perm_degree(degree):
 
 
 def permutation_from_text(val, n=None):
-    from .permcent import Permutation, parse_cycles
-
     if n is not None:
         _check_perm_degree(n)
     if isinstance(val, str):
         cycles = parse_cycles(val)
-        _check_perm_degree(max((p for c in cycles for p in c), default=0))
-        return Permutation.from_cycles(cycles, n=n)
+        # parse_cycles gives nonempty tuples of ints
+        top = max(map(max, cycles), default=0)
+        _check_perm_degree(top)
+        return Permutation._from_cycles(cycles, n, top)
     if isinstance(val, (list, tuple)):
         _check_perm_degree(len(val))
         p = Permutation(val)

@@ -146,7 +146,7 @@ class Poly:
 
     def _same(self, other):
         if isinstance(other, Poly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise CtxMismatch("polynomials over different fields")
             return other
         try:
@@ -330,7 +330,7 @@ def poly_embed(a, L):
 
 def poly_gcd(a, b):
     """Monic greatest common divisor (zero when both inputs are zero)."""
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise CtxMismatch("gcd over different fields")
     while not b.is_zero():
         a, b = b, (a % b)
@@ -341,7 +341,7 @@ def poly_gcd(a, b):
 
 def poly_xgcd(a, b):
     """(g, s, t) with s*a + t*b = g, g monic or zero."""
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise CtxMismatch("xgcd over different fields")
     ctx = a.ctx
     r0, r1 = a, b
@@ -370,7 +370,9 @@ def poly_lcm(a, b):
 
 def poly_compose_mod(outer, inner, modulus):
     """outer(inner) reduced modulo `modulus`."""
-    if outer.ctx != inner.ctx or outer.ctx != modulus.ctx:
+    if not (outer.ctx is inner.ctx is modulus.ctx) and (
+        outer.ctx != inner.ctx or outer.ctx != modulus.ctx
+    ):
         raise CtxMismatch("composition over different fields")
     if modulus.is_zero():
         raise DivisionByZero("composition modulo zero")

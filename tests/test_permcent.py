@@ -18,6 +18,7 @@ from centtype import (
     sn_cent_equal,
 )
 from centtype.construct import random_even_permutation, random_permutation
+from centtype.serialize import permutation_from_text
 
 P = Permutation.parse
 
@@ -250,3 +251,155 @@ def test_an_exhaustive_n5():
 def test_degree_mismatch():
     r = sn_cent_equal(P("(1 2)", n=2), P("(1 2)", n=3))
     assert not r.equal
+
+
+def test_identity_rejects_negative_degree():
+    assert Permutation.identity(0).images == ()
+    assert Permutation.identity(3).images == (1, 2, 3)
+    for n in (-1, -3):
+        with pytest.raises(ParseError, match="degree must be non-negative, got %d" % n):
+            Permutation.identity(n)
+
+
+def _padded(g, n):
+    return g.images + tuple(range(g.degree + 1, n + 1))
+
+
+def _ref_mul(g, h):
+    """g * h from the definition, through the validating constructor."""
+    n = max(g.degree, h.degree)
+    gi, hi = _padded(g, n), _padded(h, n)
+    return Permutation([gi[hi[x] - 1] for x in range(n)])
+
+
+def _ref_pow(g, e):
+    if e < 0:
+        g, e = Permutation([g.images.index(x) + 1 for x in range(1, g.degree + 1)]), -e
+    acc = Permutation(range(1, g.degree + 1))
+    for _ in range(e):
+        acc = _ref_mul(acc, g)
+    return acc
+
+
+def _assert_validated(got, want):
+    """`got` has plain int images that the validating constructor accepts,
+    and they are those of `want`."""
+    assert all(type(v) is int for v in got.images)
+    assert Permutation(got.images).images == got.images == want.images
+
+
+def _layers_from_cycles(g):
+    by_len = {}
+    for c in g.cycles(include_fixed=True):
+        by_len.setdefault(len(c), []).append(c)
+    return by_len
+
+
+def test_trusted_paths_match_the_validating_constructor():
+    """Every internally built permutation equals its definition, built
+    through `Permutation(images)`, and holds only plain ints."""
+    rng = random.Random(2024)
+    perms = [
+        Permutation(t) for n in range(7) for t in itertools.permutations(range(1, n + 1))
+    ]
+    perms += [random_permutation(rng.randrange(1, 41), rng) for _ in range(150)]
+    for g in perms:
+        n = g.degree
+        _assert_validated(Permutation.from_cycles(g.cycles(), n=n), g)
+        top = max(g.support(), default=0)
+        _assert_validated(
+            Permutation.from_cycles(g.cycles()), Permutation(g.images[:top])
+        )
+        _assert_validated(P(str(g), n=n), g)
+        _assert_validated(Permutation.identity(n), Permutation(range(1, n + 1)))
+        for m in (n, n + 1, n + 3):
+            _assert_validated(g.extend(m), Permutation(_padded(g, m)))
+        h = perms[rng.randrange(len(perms))]
+        _assert_validated(g * h, _ref_mul(g, h))
+        _assert_validated(h * g, _ref_mul(h, g))
+        _assert_validated(g.inverse(), _ref_pow(g, -1))
+        for e in (-2, 0, 1, 3):
+            _assert_validated(g**e, _ref_pow(g, e))
+        layers = cycle_layers(g)
+        want = _layers_from_cycles(g)
+        assert layers.degree == n and layers.images == g.images
+        assert layers.even == g.is_even()
+        assert layers.lengths() == tuple(sorted(want))
+        for i in range(1, n + 2):
+            cs = want.get(i, [])
+            assert layers.cycles(i) == tuple(cs)
+            assert layers.support(i) == frozenset(p for c in cs for p in c)
+
+
+def test_bool_points_come_out_as_ints():
+    g = Permutation.from_cycles([(True, 2)])
+    assert g.images == (2, 1)
+    assert all(type(v) is int for v in g.images)
+    assert all(type(v) is int for v in Permutation.from_cycles([(2, True)], n=3).images)
+
+
+# The error contract, recorded literally: (cycles, n, exception, message)
+_FROM_CYCLES_ERRORS = [
+    ([(1, 2), (2, 3)], None, ParseError, "point 2 repeated across cycles"),
+    ([(1, 1)], None, ParseError, "point 1 repeated across cycles"),
+    ([(True, 1)], None, ParseError, "point 1 repeated across cycles"),
+    ([(0, 1)], None, ParseError, "bad cycle point 0"),
+    ([(0, 1)], 3, ParseError, "bad cycle point 0"),
+    ([(1, 2, 0)], 2, ParseError, "bad cycle point 0"),
+    ([(-1, 2)], None, ParseError, "bad cycle point -1"),
+    ([(-2, -1)], None, ParseError, "degree must be non-negative, got -1"),
+    ([(1, 2.5)], 3, ParseError, "bad cycle point 2.5"),
+    ([(1, 2.0)], 3, ParseError, "bad cycle point 2.0"),
+    ([(1, 5)], 3, ParseError, "cycle point 5 exceeds degree 3"),
+    ([(1, 2), (3, 1)], 2, ParseError, "cycle point 3 exceeds degree 2"),
+    ([(1, 2), (1, 5)], 4, ParseError, "cycle point 5 exceeds degree 4"),
+    ([(1, 2)], -1, ParseError, "degree must be non-negative, got -1"),
+    ([], -2, ParseError, "degree must be non-negative, got -2"),
+]
+
+# (value, n, exception, message) for serialize.permutation_from_text
+_FROM_TEXT_ERRORS = [
+    ("(1 2)(2 3)", None, ParseError, "point 2 repeated across cycles"),
+    ("(1 1)", None, ParseError, "point 1 repeated across cycles"),
+    ("(1 2 3 1)", 5, ParseError, "point 1 repeated across cycles"),
+    ("(0 1)", None, ParseError, "bad cycle point 0"),
+    ("(0 1)", 4, ParseError, "bad cycle point 0"),
+    ("(-1 2)", None, ParseError, "bad cycle point -1"),
+    ("(-5 -3)", None, ParseError, "degree must be non-negative, got -3"),
+    ("(1 -2)", 3, ParseError, "bad cycle point -2"),
+    ("(1 a)", None, ParseError, "bad cycle point in '(1 a)'"),
+    ("(1 2.5)", None, ParseError, "bad cycle point in '(1 2.5)'"),
+    ("(1 5)", 3, ParseError, "cycle point 5 exceeds degree 3"),
+    ("(1 5)(2 2)", 3, ParseError, "cycle point 5 exceeds degree 3"),
+    ("(1 2)", -1, ParseError, "degree must be non-negative, got -1"),
+    ("()", -1, ParseError, "degree must be non-negative, got -1"),
+    ("(1 2", None, ParseError, "bad cycle notation '(1 2'"),
+    ("(1 2", 3, ParseError, "bad cycle notation '(1 2'"),
+    ("1 2", None, ParseError, "bad cycle notation '1 2'"),
+    ("(1 2))", None, ParseError, "bad cycle point in '(1 2))'"),
+    ("()()", None, ParseError, "empty cycle in '()()'"),
+    ("( )", None, ParseError, "empty cycle in '( )'"),
+    ("(1 2)()(3 4)", None, ParseError, "empty cycle in '(1 2)()(3 4)'"),
+    ("(1 100000000)", None, TooLarge, "permutation degree 100000000 exceeds the cap 100000"),
+    ("(1 100000000)", -1, TooLarge, "permutation degree 100000000 exceeds the cap 100000"),
+    ("(1 2)", 100000001, TooLarge, "permutation degree 100000001 exceeds the cap 100000"),
+    ([2, 2, 1], None, ParseError, "images (2, 2, 1) are not a bijection of 1..3"),
+    ([0, 1], None, ParseError, "images (0, 1) are not a bijection of 1..2"),
+    ([1, 2], -1, ParseError, "cannot shrink a permutation"),
+    ([2, 1], 1, ParseError, "cannot shrink a permutation"),
+    (3, None, ParseError, "permutation must be cycle text or an image array"),
+]
+
+
+@pytest.mark.parametrize("cycles, n, exc, message", _FROM_CYCLES_ERRORS)
+def test_from_cycles_error_contract(cycles, n, exc, message):
+    with pytest.raises(exc) as info:
+        Permutation.from_cycles(cycles, n=n)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("val, n, exc, message", _FROM_TEXT_ERRORS)
+def test_permutation_from_text_error_contract(val, n, exc, message):
+    with pytest.raises(exc) as info:
+        permutation_from_text(val, n=n)
+    assert type(info.value) is exc and str(info.value) == message

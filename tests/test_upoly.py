@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from centtype import (
+    CtxMismatch,
     DivisionByZero,
     ExtensionField,
     Poly,
@@ -288,3 +289,30 @@ def test_poly_embed():
     assert fe.ctx == L
     assert fe.degree == f.degree
     assert [L.embed(c) for c in f.coeffs] == list(fe.coeffs)
+
+
+def test_context_checks_accept_equal_contexts_and_keep_their_messages():
+    """Contexts are compared by value once identity fails: an equal but
+    distinct F5 mixes freely, while F3 against F5 raises as before."""
+    F5b = prime_field(5)
+    a, b = Poly(F5, [1, 2, 1]), Poly(F5b, [1, 1])
+    assert a * b == Poly(F5, [1, 3, 3, 1]) and (a * b).ctx is F5
+    assert poly_gcd(a, b) == Poly(F5, [1, 1])
+    assert poly_xgcd(a, b)[0] == Poly(F5, [1, 1])
+    assert poly_compose_mod(a, b, Poly(F5b, [0, 0, 1])) == Poly(F5, [4, 4])
+    assert F5.elem(2) + F5b.elem(3) == F5.elem(0)
+    assert F5.elem(2) == F5b.elem(2) and F5.elem(2) != F3.elem(2)
+    assert F5.coerce(F5b.elem(4)) == F5.elem(4)
+    c = Poly(F3, [1, 1])
+    for call, message in (
+        (lambda: a * c, "polynomials over different fields"),
+        (lambda: poly_gcd(a, c), "gcd over different fields"),
+        (lambda: poly_xgcd(a, c), "xgcd over different fields"),
+        (lambda: poly_compose_mod(a, c, b), "composition over different fields"),
+        (lambda: poly_compose_mod(a, b, c), "composition over different fields"),
+        (lambda: F5.coerce(F3.elem(1)), "element of F3 used over F5"),
+        (lambda: Q.coerce(F3.elem(1)), "element of F3 used over Q"),
+    ):
+        with pytest.raises(CtxMismatch) as info:
+            call()
+        assert str(info.value) == message
