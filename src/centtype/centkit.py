@@ -5,12 +5,16 @@ Y are conjugate inside GL_n(K) exactly when X and Y have the same
 generalized type.  The positive direction is effective, and everything
 here returns checkable objects:
 
-  * `centralizer_basis` solves the commutant equation XB = BX exactly;
+  * `centralizer_basis` solves the commutant equation XB = BX exactly,
+    as the kernel of its n^2 x n^2 Sylvester matrix, independently of
+    the Frobenius form;
   * `witness_polynomials` produces p, q with p(X) similar to Y and q(Y)
     similar to X whenever the generalized types agree;
   * `centralizers_conjugate` turns the witness into an explicit
     conjugator and re-verifies the span identity before reporting; both
-    share one pipeline that forms each matrix's Frobenius form once;
+    share one pipeline that forms each matrix's Frobenius form once, and
+    the re-check takes U^-1 from the two forms' stored bases instead of
+    inverting U;
   * `cent_conjugate_bruteforce` is an independent oracle that searches
     all of GL_n(F_p) for a conjugator, for small instances.
 
@@ -92,8 +96,10 @@ def centralizer_basis(X):
     xv = X._vals
     zero, add, sub = ctx.zero.val, ctx._add, ctx._sub
     rows = []
-    for i in range(n):
-        for j in range(n):
+    # bottom-up: the reduced echelon, so the kernel, does not depend on
+    # the row order, and this one leaves the least back-substitution
+    for i in reversed(range(n)):
+        for j in reversed(range(n)):
             row = [zero] * (n * n)
             for k in range(n):
                 row[k * n + j] = add(row[k * n + j], xv[i][k])
@@ -240,9 +246,11 @@ def _reverse_match(match):
 
 def _witnesses(X, Y, seed):
     """The pipeline of `witness_polynomials` and `centralizers_conjugate`:
-    (generalized types of X and Y, (p, q, U) or None when they differ),
-    with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct matrix met
-    in the call (X, Y, p(X), q(Y)) is put into Frobenius form once."""
+    (generalized types of X and Y, (p, q, U, U^-1) or None when they
+    differ), with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct
+    matrix met in the call (X, Y, p(X), q(Y)) is put into Frobenius form
+    once, and U^-1 is read off the stored bases and transforms of the
+    forms of Y and p(X) instead of inverting U."""
     form = lru_cache(maxsize=None)(frobenius_form)
     gta = cycle_type(form(X), seed=seed).generalized()
     gtb = cycle_type(form(Y), seed=seed).generalized()
@@ -257,7 +265,7 @@ def _witnesses(X, Y, seed):
         raise VerificationError("p(X) is not similar to Y")
     if form(mat_eval_poly(q, Y)).invariant_factors != form(X).invariant_factors:
         raise VerificationError("q(Y) is not similar to X")
-    return gta, gtb, (p, q, U)
+    return gta, gtb, (p, q, U, form(Y).basis * form(pX).transform)
 
 
 def witness_polynomials(X, Y, seed=0):
@@ -306,8 +314,7 @@ def centralizers_conjugate(X, Y, seed=0):
     gta, gtb, witness = _witnesses(X, Y, seed)
     if witness is None:
         return ConjugacyCertificate(False, gta, gtb)
-    p, q, U = witness
-    Uinv = U.inverse()
+    p, q, U, Uinv = witness
     bx = centralizer_basis(X)
     by = centralizer_basis(Y)
     moved = [Uinv * B * U for B in bx.matrices]

@@ -16,9 +16,11 @@ elimination loop) and of `_poly_apply` through `ctx._submul` and
 `ctx._submul_sparse`, which a prime field runs on plain ints.  Results
 computed here are built by `Matrix._from_vals`, which neither coerces
 nor boxes, while the public constructor and `Matrix.apply` coerce and
-check what they are given.  `Matrix.rref` and `Matrix.det` insert the
-rows into one echelon; `kernel` (through the payload loop `_kernel`),
-`inverse`, `solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
+check what they are given.  `Matrix.rref`, `Matrix.det` and `_kernel`
+insert the rows into one echelon.  `_kernel` (behind `kernel`) reads the
+null space straight off the echelon's sparse reduced rows, one vector
+per free column, without building the dense reduced matrix; `inverse`,
+`solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
@@ -33,8 +35,10 @@ chains span V, skipping any unit vector already in that span, and keeps
 the Krylov chain of a scanned generator that no lcm combination or
 conductor correction changed, so only a changed generator is re-run
 and checked to keep its order.  The Krylov chains, unit vectors and
-corrected generators stay payload lists throughout, and the transform
-is built from them with `_from_vals`.
+corrected generators stay payload lists throughout.  The Krylov basis Q
+is built from them with `_from_vals`, and the form keeps Q (`basis`)
+next to its inverse (`transform`), so the conjugator between two forms
+is a product of stored matrices and inverts nothing more.
 """
 
 from __future__ import annotations
@@ -268,21 +272,21 @@ class Matrix:
 
     def _kernel(self):
         """Basis of the right null space as payload lists, one per free
-        column of the reduced form."""
-        red, pivots = self.rref()
+        column, read off the echelon rows: the vector of free column j is
+        e_j minus, at each row's pivot, that row's entry in column j."""
         ctx = self.ctx
-        zero, neg = ctx.zero.val, ctx._neg
-        pivset = set(pivots)
-        out = []
-        for j in range(self.ncols):
-            if j in pivset:
-                continue
-            vec = [zero] * self.ncols
-            vec[j] = ctx.one.val
-            for r, pc in enumerate(pivots):
-                vec[pc] = neg(red._vals[r][j])
-            out.append(vec)
-        return out
+        ech = _Echelon(ctx, self.ncols)
+        for r in self._vals:
+            ech.insert(r)
+        neg = ctx._neg
+        pivots = {p for p, _, _ in ech.rows}
+        free = {j: _unit_vec(ctx, self.ncols, j) for j in range(self.ncols) if j not in pivots}
+        # stored rows are reduced, so every column but the pivot is free
+        for p, row, _ in ech.rows:
+            for j, v in row.items():
+                if j != p:
+                    free[j][p] = neg(v)
+        return list(free.values())
 
     def rowspace_rref(self):
         """Canonical basis of the row space (zero rows dropped)."""
@@ -450,12 +454,14 @@ class _Echelon:
 @dataclass(frozen=True)
 class FrobeniusForm:
     """Invariant factors d_1 | d_2 | ... | d_k (monic, increasing
-    divisibility), the block-companion form, and a transform with
-    form == transform * A * transform.inverse()."""
+    divisibility), the block-companion form, a transform with
+    form == transform * A * basis, and its inverse `basis`, whose columns
+    are the Krylov chains of the cyclic decomposition."""
 
     invariant_factors: tuple
     form: Matrix
     transform: Matrix
+    basis: Matrix
 
 
 def _unit_vec(ctx, n, i):
@@ -596,7 +602,7 @@ def frobenius_form(A):
     F = block_diag([companion(f) for f in factors])
     if P * A * Q != F:
         raise VerificationError("canonical form verification failed")
-    return FrobeniusForm(factors, F, P)
+    return FrobeniusForm(factors, F, P, Q)
 
 
 def minpoly(A):
@@ -622,11 +628,14 @@ def similar_conjugator(A, B):
 
 def _form_conjugator(A, fa, B, fb):
     """S with S.inverse() * A * S == B, built from the Frobenius forms fa
-    of A and fb of B and checked; None when their invariant factors differ."""
+    of A and fb of B and checked; None when their invariant factors differ.
+
+    S = fa.basis * fb.transform is a product of two invertible matrices,
+    so A * S == S * B is the whole check."""
     if fa.invariant_factors != fb.invariant_factors:
         return None
-    S = fa.transform.inverse() * fb.transform
-    if S.inverse() * A * S != B:
+    S = fa.basis * fb.transform
+    if A * S != S * B:
         raise VerificationError("conjugator verification failed")
     return S
 

@@ -13,7 +13,8 @@ each gated by an "elsewhere only odd cycles of distinct lengths"
 condition that keeps the ambient centralizer free of odd permutations.
 
 A permutation is checked once, where it enters.  `Permutation(images)`
-checks that the images are a bijection of 1..n; `from_cycles` and
+checks that the images are integers (a float or a string is a
+ParseError, not truncated) forming a bijection of 1..n; `from_cycles` and
 `parse` check that the cycle points are positive ints, each written
 once and at most the degree, which already makes the images a bijection.
 `identity`, `extend`, `*`, `inverse` and `**` build on checked
@@ -29,9 +30,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import OddPermutation, ParseError, TooLarge
+
+
+def _image(v):
+    """An image as a plain int (operator.index turns a bool into one);
+    anything that is not an integer is a ParseError, never truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ParseError("bad image %r" % (v,)) from None
 
 
 class Permutation:
@@ -40,7 +51,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        imgs = tuple(int(v) for v in images)
+        imgs = tuple(map(_image, images))
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ParseError("images %r are not a bijection of 1..%d" % (imgs, n))
@@ -62,7 +73,8 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, cycles, n=None):
-        top = max((p for c in cycles for p in c), default=0)
+        # a point that is not an int is rejected by `_from_cycles`
+        top = max((p for c in cycles for p in c if isinstance(p, int)), default=0)
         return cls._from_cycles(cycles, n, top)
 
     @classmethod

@@ -232,13 +232,26 @@ def cent_dim_formula(t):
 
 
 def cycle_type(X, seed=0):
-    """Cycle type, from the invariant factors, of a matrix or its FrobeniusForm."""
+    """Cycle type, from the invariant factors, of a matrix or its FrobeniusForm.
+
+    Only the largest invariant factor is factored: every smaller one
+    divides it, so its multiplicities come from dividing by the same
+    irreducibles."""
     form = X if isinstance(X, FrobeniusForm) else frobenius_form(X)
-    mults = {}
-    for dpoly in form.invariant_factors:
-        for f, m in poly_factor(dpoly, seed=seed).factors:
-            mults.setdefault(f, []).append(m)
-    return CycleType([(f, Partition(ms)) for f, ms in mults.items()])
+    *smaller, largest = form.invariant_factors
+    entries = []
+    for f, top in poly_factor(largest, seed=seed).factors:
+        parts = [top]
+        for d in smaller:
+            m = 0
+            q, r = divmod(d, f)
+            while r.is_zero():
+                m, d = m + 1, q
+                q, r = divmod(d, f)
+            if m:
+                parts.append(m)
+        entries.append((f, Partition(parts)))
+    return CycleType(entries)
 
 
 def green_type(X, seed=0):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from centtype import (
     centralizers_conjugate,
     companion,
     cycle_type,
+    extension_field,
     frobenius_form,
     jordan_chevalley,
     mat_eval_poly,
@@ -34,11 +36,13 @@ from centtype.construct import (
     random_matrix,
     random_partition,
 )
+from centtype.serialize import matrix_from_json
 
 Q = rationals()
 F2 = prime_field(2)
 F3 = prime_field(3)
 F5 = prime_field(5)
+F9 = extension_field(F3, [1, 0, 1])
 
 
 def test_centralizer_basis_commutes():
@@ -352,3 +356,75 @@ def test_wrong_component_witness_is_caught(monkeypatch, tmp_path, capsys):
         docs.append(str(path))
     assert main(["centconj"] + docs) == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "VerificationError"
+
+
+# -- the Sylvester kernel and the stored inverse conjugator against references --
+
+
+def _sylvester_reference(X):
+    """Cent(X) from the row-major Sylvester matrix of XB - BX, its kernel
+    built from Matrix.rref's free columns, each reshaped to a matrix."""
+    ctx, n = X.ctx, X.nrows
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [ctx.zero] * (n * n)
+            for k in range(n):
+                row[k * n + j] += X.entry(i, k)
+                row[i * n + k] -= X.entry(k, j)
+            rows.append(row)
+    red, pivots = Matrix(ctx, rows).rref()
+    out = []
+    for j in range(n * n):
+        if j in pivots:
+            continue
+        vec = [ctx.zero] * (n * n)
+        vec[j] = ctx.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red.entry(r, j)
+        out.append(Matrix(ctx, [vec[r * n : (r + 1) * n] for r in range(n)]))
+    return tuple(out)
+
+
+def test_centralizer_basis_matches_the_row_major_rref_kernel():
+    rng = random.Random(61)
+    for ctx in (F2, F3, F5, F9, Q):
+        x = Poly.x(ctx)
+        c = rng.choice([ctx.one, ctx.zero, ctx.one + ctx.one])
+        cases = [Matrix.identity(ctx, 3) * c, Matrix.zero(ctx, 2)]
+        cases.append(block_diag([companion(x - c), companion(x - c), companion((x - c) ** 2)]))
+        cases.append(block_diag([companion(x**2 + x + 1), companion(x**2 + x + 1)]))
+        cases.extend(random_matrix(ctx, n, rng, bound=3) for n in (1, 2, 3, 4))
+        for M in cases:
+            U = random_invertible(ctx, M.nrows, rng, bound=2)
+            for X in (M, U.inverse() * M * U):
+                assert centralizer_basis(X).matrices == _sylvester_reference(X)
+
+
+def _golden(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name)
+    with open(path, encoding="utf-8") as fh:
+        return matrix_from_json(json.load(fh))
+
+
+def test_witness_inverse_conjugator_equals_the_inverse():
+    from centtype.centkit import _witnesses
+
+    pairs = [
+        (_golden("f5_x.json"), _golden("f5_y.json")),
+        (_golden("q_sqrt2.json"), _golden("q_sqrt8.json")),
+        (_golden("f9_x.json"), _golden("f9_y.json")),
+    ]
+    rng = random.Random(62)
+    for ctx in (F3, F5, Q):
+        for _ in range(4):
+            f, g = equivalent_pair(ctx, rng)
+            lam = random_partition(rng.randrange(1, 4), rng)
+            X = block_diag([companion(f**p) for p in lam.parts])
+            Y = block_diag([companion(g**p) for p in lam.parts])
+            U = random_invertible(ctx, X.nrows, rng, bound=3)
+            pairs.append((U * X * U.inverse(), Y))
+    for X, Y in pairs:
+        p, _, U, Uinv = _witnesses(X, Y, 0)[2]
+        assert Uinv == U.inverse()
+        assert Uinv * mat_eval_poly(p, X) * U == Y

@@ -599,3 +599,77 @@ def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
     M = block_diag([companion(d1), companion(d1 * f)])
     assert frobenius_form(M).invariant_factors == (d1, d1 * f)
     assert len(calls) == 3
+
+
+# -- kernels read off the echelon, and the stored Krylov basis --
+
+
+def _rref_kernel(A):
+    """Right null space by the free-column construction on Matrix.rref:
+    for each free column j, e_j minus column j of the reduced form placed
+    at the pivot columns."""
+    red, pivots = A.rref()
+    ctx = A.ctx
+    out = []
+    for j in range(A.ncols):
+        if j in pivots:
+            continue
+        vec = [ctx.zero] * A.ncols
+        vec[j] = ctx.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red.entry(r, j)
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def test_kernel_matches_the_rref_free_column_construction():
+    rng = random.Random(31)
+    for ctx in FIELDS:
+        cases = [Matrix.zero(ctx, 3, 5), Matrix.zero(ctx, 1), Matrix.identity(ctx, 4)]
+        cases.append(random_invertible(ctx, 4, rng, bound=3))
+        wide = random_invertible(ctx, 3, rng, bound=3)
+        cases.append(Matrix(ctx, [r + r[:2] for r in wide.rows]))  # full row rank
+        cases.append(Matrix(ctx, list(wide.rows) + [wide.rows[0]]))  # full column rank
+        for _ in range(12):
+            m, n = rng.randrange(1, 6), rng.randrange(1, 6)
+            cases.append(_rand_matrix(ctx, m, n, rng))
+            cases.append(_rand_maybe_singular(ctx, n, rng))
+        for A in cases:
+            ker = A.kernel()
+            assert ker == _rref_kernel(A)
+            assert len(ker) == A.ncols - A.rank()
+            for v in ker:
+                assert all(e == ctx.zero for e in A.apply(v))
+
+
+def test_frobenius_basis_inverts_the_transform():
+    rng = random.Random(32)
+    for ctx in FIELDS:
+        x = Poly.x(ctx)
+        c = random_elem(ctx, rng, bound=3)
+        cases = [Matrix.identity(ctx, 3) * c, companion((x - c) ** 3)]
+        cases.append(block_diag([companion(x - c), companion((x - c) ** 2), companion(x**2 + 1)]))
+        cases.extend(random_matrix(ctx, n, rng, bound=3) for n in (1, 2, 4, 5))
+        for M in cases:
+            U = random_invertible(ctx, M.nrows, rng, bound=2)
+            for A in (M, U.inverse() * M * U):
+                ff = frobenius_form(A)
+                assert ff.basis * ff.transform == Matrix.identity(ctx, A.nrows)
+                assert ff.transform * A * ff.basis == ff.form
+
+
+def test_form_conjugator_check_catches_a_wrong_basis():
+    from dataclasses import replace
+
+    from centtype.errors import VerificationError
+    from centtype.exactmat import _form_conjugator
+
+    rng = random.Random(33)
+    A = random_matrix(F5, 4, rng)
+    U = random_invertible(F5, 4, rng)
+    B = U.inverse() * A * U
+    fa, fb = frobenius_form(A), frobenius_form(B)
+    S = _form_conjugator(A, fa, B, fb)
+    assert S.inverse() * A * S == B
+    with pytest.raises(VerificationError):
+        _form_conjugator(A, replace(fa, basis=Matrix.identity(F5, 4)), B, fb)

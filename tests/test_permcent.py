@@ -355,6 +355,8 @@ _FROM_CYCLES_ERRORS = [
     ([(1, 2), (1, 5)], 4, ParseError, "cycle point 5 exceeds degree 4"),
     ([(1, 2)], -1, ParseError, "degree must be non-negative, got -1"),
     ([], -2, ParseError, "degree must be non-negative, got -2"),
+    ([(1, "2")], 3, ParseError, "bad cycle point '2'"),
+    ([("1", 2)], None, ParseError, "bad cycle point '1'"),
 ]
 
 # (value, n, exception, message) for serialize.permutation_from_text
@@ -388,6 +390,10 @@ _FROM_TEXT_ERRORS = [
     ([1, 2], -1, ParseError, "cannot shrink a permutation"),
     ([2, 1], 1, ParseError, "cannot shrink a permutation"),
     (3, None, ParseError, "permutation must be cycle text or an image array"),
+    ([1, "x"], None, ParseError, "bad image 'x'"),
+    ([1, 2.5], None, ParseError, "bad image 2.5"),
+    ([2.0, 1], 3, ParseError, "bad image 2.0"),
+    (["1"], None, ParseError, "bad image '1'"),
 ]
 
 
@@ -403,3 +409,14 @@ def test_permutation_from_text_error_contract(val, n, exc, message):
     with pytest.raises(exc) as info:
         permutation_from_text(val, n=n)
     assert type(info.value) is exc and str(info.value) == message
+
+
+def test_images_are_integers_not_truncated():
+    with pytest.raises(ParseError) as info:
+        Permutation([1, 2.5])
+    assert str(info.value) == "bad image 2.5"
+    with pytest.raises(ParseError) as info:
+        Permutation([None])
+    assert str(info.value) == "bad image None"
+    g = Permutation([True, 2])
+    assert g.images == (1, 2) and all(type(v) is int for v in g.images)

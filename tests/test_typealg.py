@@ -12,6 +12,7 @@ from centtype import (
     block_diag,
     cycle_type,
     dominance_leq,
+    extension_field,
     frobenius_form,
     generalized_type,
     gentype_equal,
@@ -21,11 +22,17 @@ from centtype import (
     partitions_of,
     poly_compose_mod,
     poly_equivalent,
+    poly_factor,
     primary_decomposition,
     prime_field,
     rationals,
 )
-from centtype.construct import random_invertible, random_irreducible, random_partition
+from centtype.construct import (
+    random_invertible,
+    random_irreducible,
+    random_matrix,
+    random_partition,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -259,3 +266,35 @@ def test_nilpotent_after_eval():
         p, mu = nt.entries[0]
         assert p == Poly.x(ctx)
         assert mu == Partition([2, 2, 1, 1])  # d * lam with d = 2
+
+
+def _cycle_type_reference(X):
+    """Cycle type by factoring every invariant factor."""
+    mults = {}
+    for d in frobenius_form(X).invariant_factors:
+        for f, m in poly_factor(d).factors:
+            mults.setdefault(f, []).append(m)
+    return CycleType([(f, Partition(ms)) for f, ms in mults.items()])
+
+
+def test_cycle_type_matches_factoring_every_invariant_factor():
+    rng = random.Random(71)
+    F9 = extension_field(F3, [1, 0, 1])
+    for ctx in (F2, F3, F5, F9, Q):
+        x = Poly.x(ctx)
+        f = random_irreducible(ctx, 1, rng, bound=3)
+        g = random_irreducible(ctx, 2, rng, bound=3)
+        chains = [
+            [f, f * g, f**2 * g**2],
+            [g, g, g**3 * f],
+            [f**3],
+            [x, x * f**2 if f != x else x**2, x**2 * f**2 * g],
+        ]
+        for chain in chains:
+            M = block_diag([companion(d) for d in chain])
+            U = random_invertible(ctx, M.nrows, rng, bound=2)
+            X = U.inverse() * M * U
+            assert cycle_type(X).entries == _cycle_type_reference(X).entries
+        for n in (1, 3, 5):
+            X = random_matrix(ctx, n, rng, bound=3)
+            assert cycle_type(X).entries == _cycle_type_reference(X).entries
