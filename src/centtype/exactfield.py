@@ -67,6 +67,19 @@ def _is_prime(n):
     return True
 
 
+def _power(base, e, one, mul):
+    """base**e for an int e >= 0 by square-and-multiply, where `mul` is
+    the product and `one` its identity."""
+    acc = one
+    while e:
+        if e & 1:
+            acc = mul(acc, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return acc
+
+
 class FieldElem:
     """Immutable field element; supports +, -, *, /, ** and equality."""
 
@@ -130,16 +143,9 @@ class FieldElem:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        base = self
         if e < 0:
-            base, e = self.inverse(), -e
-        acc = self.ctx.one
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+            return _power(self.inverse(), -e, self.ctx.one, operator.mul)
+        return _power(self, e, self.ctx.one, operator.mul)
 
     def inverse(self):
         if self.is_zero():

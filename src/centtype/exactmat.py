@@ -43,10 +43,11 @@ is a product of stored matrices and inverts nothing more.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import NotSquare, SingularMatrix, SizeMismatch, VerificationError
-from .exactfield import FieldElem
+from .exactfield import FieldElem, _power
 from .upoly import Poly
 
 
@@ -183,14 +184,7 @@ class Matrix:
         if not isinstance(e, int) or e < 0:
             return NotImplemented
         self._require_square()
-        acc = Matrix.identity(self.ctx, self.nrows)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _power(self, e, Matrix.identity(self.ctx, self.nrows), operator.mul)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of ncols entries."""

@@ -45,6 +45,15 @@ def _image(v):
         raise ParseError("bad image %r" % (v,)) from None
 
 
+def _degree(n):
+    """A degree as a plain int, taken as `_image` takes an image; its sign
+    is checked where the permutation is built."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ParseError("bad degree %r" % (n,)) from None
+
+
 class Permutation:
     """Permutation of {1, ..., n} stored as the tuple of images."""
 
@@ -67,19 +76,18 @@ class Permutation:
 
     @classmethod
     def identity(cls, n):
-        if n < 0:
-            raise ParseError("degree must be non-negative, got %d" % n)
-        return cls._trusted(tuple(range(1, n + 1)))
+        return cls.from_cycles((), n)
 
     @classmethod
     def from_cycles(cls, cycles, n=None):
         # a point that is not an int is rejected by `_from_cycles`
         top = max((p for c in cycles for p in c if isinstance(p, int)), default=0)
-        return cls._from_cycles(cycles, n, top)
+        return cls._from_cycles(cycles, None if n is None else _degree(n), top)
 
     @classmethod
     def _from_cycles(cls, cycles, n, top):
-        """`from_cycles`, given `top`, the largest point of the cycles.
+        """`from_cycles`, given `top`, the largest point of the cycles, and
+        n as an int (or None).
 
         Points that are positive ints, each written once and at most n,
         already make the images a bijection, so that is all this checks.

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .errors import ParseError, SizeMismatch, TooLarge
 from .exactfield import elem_from_json, elem_to_json, make_field
 from .exactmat import Matrix, companion
-from .permcent import Permutation, parse_cycles
+from .permcent import Permutation, _degree, parse_cycles
 from .typealg import Partition
 from .upoly import Poly
 
@@ -178,6 +178,7 @@ def _check_perm_degree(degree):
 
 def permutation_from_text(val, n=None):
     if n is not None:
+        n = _degree(n)
         _check_perm_degree(n)
     if isinstance(val, str):
         cycles = parse_cycles(val)

@@ -21,6 +21,7 @@ witness constructions downstream rely on that inverse pairing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +44,8 @@ class Partition:
     parts: tuple
 
     def __init__(self, parts=()):
-        ps = tuple(sorted((int(p) for p in parts), reverse=True))
+        # operator.index takes ints (a bool becomes one) and rejects the rest
+        ps = tuple(sorted(map(operator.index, parts), reverse=True))
         if any(p <= 0 for p in ps):
             raise ValueError("partition parts must be positive")
         object.__setattr__(self, "parts", ps)

@@ -13,11 +13,12 @@ composition, CRT, squarefree decomposition, full factorization over Q
 and over finite fields (including extension towers over F_p), and
 root-finding inside a named extension.
 
-Factorization routes:
-  * finite fields: squarefree split (with p-th root descent), then
-    distinct-degree via gcd(x^(q^k) - x, f), then equal-degree splitting
-    (quadratic-residue test for odd q, trace polynomials for q = 2^e);
-  * rationals: Yun squarefree split, then per part a Zassenhaus round --
+Factorization routes, both after one squarefree split (Musser's loop,
+whose p-th root descent runs only in characteristic p):
+  * finite fields: distinct-degree via gcd(x^(q^k) - x, f), then
+    equal-degree splitting (quadratic-residue test for odd q, trace
+    polynomials for q = 2^e);
+  * rationals: per squarefree part a Zassenhaus round --
     factor modulo a good prime, Hensel-lift past the Landau-Mignotte
     bound, recombine subsets by trial division.  Degree is soft-capped
     at 24.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +53,7 @@ from .exactfield import (
     FieldElem,
     RationalField,
     _is_prime,
+    _power,
     prime_field,
     random_elem,
     rationals,
@@ -210,14 +213,7 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        acc = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _power(self, e, Poly.one(self.ctx), operator.mul)
 
     def __divmod__(self, other):
         other = self._same(other)
@@ -388,14 +384,8 @@ def poly_pow_mod(base, e, modulus):
     """base**e reduced modulo `modulus` (e >= 0)."""
     if e < 0:
         raise ValueError("negative exponent")
-    acc = Poly.one(base.ctx) % modulus
-    base = base % modulus
-    while e:
-        if e & 1:
-            acc = (acc * base) % modulus
-        base = (base * base) % modulus
-        e >>= 1
-    return acc
+    one = Poly.one(base.ctx) % modulus
+    return _power(base % modulus, e, one, lambda a, b: (a * b) % modulus)
 
 
 def poly_crt(residues, moduli):
@@ -425,9 +415,7 @@ def squarefree_decomposition(f):
     f = f.monic()
     if f.degree < 1:
         return []
-    if f.ctx.characteristic == 0:
-        return _squarefree_char0(f)
-    return _squarefree_charp(f)
+    return _squarefree(f)
 
 
 def squarefree_part(f):
@@ -436,24 +424,6 @@ def squarefree_part(f):
     for g, _ in squarefree_decomposition(f):
         out = out * g
     return out
-
-
-def _squarefree_char0(f):
-    d = f.derivative()
-    u = poly_gcd(f, d)
-    v, w = f // u, d // u
-    out, k = [], 1
-    while True:
-        z = w - v.derivative()
-        if z.is_zero():
-            if v.degree >= 1:
-                out.append((v, k))
-            return out
-        h = poly_gcd(v, z)
-        if h.degree >= 1:
-            out.append((h, k))
-        v, w = v // h, z // h
-        k += 1
 
 
 def _pth_root_poly(f):
@@ -470,12 +440,16 @@ def _pth_root_poly(f):
     return Poly(ctx, out)
 
 
-def _squarefree_charp(f):
+def _squarefree(f):
+    """Musser's loop: at step k, w is the product of the factors whose
+    multiplicity is at least k and prime to p, and z those of exactly k.
+    What is left in c is 1 in characteristic 0, so the p-th root descent
+    runs only in characteristic p."""
     p = f.ctx.characteristic
     out = []
     d = f.derivative()
     if d.is_zero():
-        return [(g, m * p) for g, m in _squarefree_charp(_pth_root_poly(f))]
+        return [(g, m * p) for g, m in _squarefree(_pth_root_poly(f))]
     c = poly_gcd(f, d)
     w = f // c
     k = 1
@@ -488,7 +462,7 @@ def _squarefree_charp(f):
         w = y
         k += 1
     if c.degree >= 1:
-        out.extend((g, m * p) for g, m in _squarefree_charp(_pth_root_poly(c)))
+        out.extend((g, m * p) for g, m in _squarefree(_pth_root_poly(c)))
     return out
 
 
@@ -640,17 +614,8 @@ def _factor_rationals(f):
 
 def _q_to_primitive_int(f):
     """Primitive integer coefficient list (constant first, positive lc)."""
-    den = 1
-    for c in f._vals:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f._vals]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    den = math.lcm(*(c.denominator for c in f._vals))
+    return _z_primitive([int(c * den) for c in f._vals])
 
 
 def _int_to_monic_q(zf):
@@ -819,13 +784,9 @@ def _hensel_lift(p, f, flist, ell):
 
 
 def _z_primitive(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    out = [c // g for c in a]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
+    """a divided by its content, signed so that the last entry is positive."""
+    g = math.gcd(*a)
+    return [c // (-g if a[-1] < 0 else g) for c in a]
 
 
 def _z_trial_divide(P, g):

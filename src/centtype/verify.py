@@ -5,15 +5,16 @@ Each suite derives every instance from a single master seed, so runs
 are reproducible and the report is byte-stable.  Failures carry the
 offending inputs verbatim.
 
-The seeded suites (centdim, nilpclass, dominance, witness-roundtrip, jc,
-extension-separable) share one runner and differ only in their
-mathematical check.  An instance is a task identity, a dict of its
-"instance" index, its "field" (or "p"), its 64-bit sub-seed "seed" and,
-for jc, its "kind".  `_seeded_worker(check, task)` runs
-`check(random.Random(task["seed"]), task)`; a check returns None or the
-detail fields of a failure, and an exception becomes an "error" field.
-Every failure record is the identity plus those fields, so calling
-`_seeded_worker(check, identity)` on a record's identity replays it.
+Every suite but the two permutation oracles runs through one runner
+and supplies only a task list and a mathematical check.  A task is the
+identity of one instance, a dict of its "instance" index and whatever
+the check reads.  `_worker(check, task)` runs `check(task)`; a check
+returns None or the detail fields of a failure, and an exception
+becomes an "error" field.  Every failure record is the identity plus
+those fields, so the worker replays it from its identity.  The six
+seeded suites draw a field (or "p"), a 64-bit sub-seed "seed" and, for
+jc, a "kind" per task; `_seeded_worker(check, task)` runs their
+`check(rng, task)` with `random.Random(task["seed"])`.
 
 Suites that consist of independent instances can fan out over a process
 pool (--jobs); aggregation is order-independent.
@@ -26,7 +27,6 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .centkit import (
@@ -65,6 +65,7 @@ from .permcent import (
 )
 from .serialize import matrix_to_json
 from .typealg import (
+    Partition,
     cent_dim_formula,
     cent_dim_weight,
     cycle_type,
@@ -94,6 +95,9 @@ def _map_tasks(worker, tasks, jobs):
     # there are tasks or CPUs
     workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that `import centtype` loads no process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             return list(pool.map(worker, tasks, chunksize=chunk))
@@ -109,24 +113,29 @@ def _collect(results):
     return failures
 
 
-# -- the seeded-suite runner --
+# -- the suite runner --
 
 _FIELD_TAGS = ("Q", "F2", "F3", "F5")
 
 
-def _seeded_worker(check, task):
-    """Failure record of one seeded instance, or None if it passes."""
+def _worker(check, task):
+    """Failure record of one instance, or None if it passes."""
     try:
-        details = check(random.Random(task["seed"]), task)
+        details = check(task)
     except Exception as exc:  # a crash is a failure, not an excuse
         details = {"error": repr(exc)}
     return None if details is None else {**task, **details}
 
 
-def _seeded_suite(check, default_scale, draw, seed, scale, jobs):
+def _seeded_worker(check, task):
+    """`_worker` for a check(rng, task), seeded from the task's sub-seed."""
+    return _worker(lambda t: check(random.Random(t["seed"]), t), task)
+
+
+def _suite(check, default_scale, draw, seed, scale, jobs, worker=_seeded_worker):
     scale = default_scale if scale is None else scale
     tasks = draw(random.Random(seed), scale)
-    results = _map_tasks(functools.partial(_seeded_worker, check), tasks, jobs)
+    results = _map_tasks(functools.partial(worker, check), tasks, jobs)
     return scale, len(tasks), _collect(results)
 
 
@@ -237,57 +246,29 @@ def _invariant_chains(ctx, n):
     return list(rec(None, n))
 
 
-def _chain_matrix(ctx, chain_coeffs):
-    polys = [Poly(ctx, [ctx.elem(c) for c in cs]) for cs in chain_coeffs]
-    return block_diag([companion(f) for f in polys])
-
-
-def _mainf2_worker(task):
-    idx, n, ca, cb = task
-    ctx = prime_field(2)
-    try:
-        x = _chain_matrix(ctx, ca)
-        y = _chain_matrix(ctx, cb)
-        verdict = centralizers_conjugate(x, y).conjugate
-        brute = cent_conjugate_bruteforce(x, y)
-        if verdict != brute:
-            return {
-                "instance": idx,
-                "n": n,
-                "x": [list(c) for c in ca],
-                "y": [list(c) for c in cb],
-                "theorem": verdict,
-                "brute": brute,
-            }
-    except Exception as exc:
-        return {
-            "instance": idx,
-            "n": n,
-            "x": [list(c) for c in ca],
-            "y": [list(c) for c in cb],
-            "error": repr(exc),
-        }
-    return None
-
-
-def _suite_main_theorem_f2(seed, scale, jobs):
-    scale = 3 if scale is None else scale
+def _mainf2_tasks(master, scale):
+    """Every pair of invariant-factor chains of degree n = 2..scale, each
+    chain a list of coefficient lists."""
     if not 2 <= scale <= 3:
         raise TooLarge("main-theorem-f2 scale must be 2 or 3")
     ctx = prime_field(2)
     tasks = []
-    idx = 0
     for n in range(2, scale + 1):
-        chains = _invariant_chains(ctx, n)
-        coeffed = [
-            tuple(tuple(int(c.val) for c in f.coeffs) for f in chain)
-            for chain in chains
-        ]
-        for i in range(len(coeffed)):
-            for j in range(i, len(coeffed)):
-                tasks.append((idx, n, coeffed[i], coeffed[j]))
-                idx += 1
-    return scale, len(tasks), _collect(_map_tasks(_mainf2_worker, tasks, jobs))
+        chains = [[list(f._vals) for f in chain] for chain in _invariant_chains(ctx, n)]
+        for i, x in enumerate(chains):
+            for y in chains[i:]:
+                tasks.append({"instance": len(tasks), "n": n, "x": x, "y": y})
+    return tasks
+
+
+def _check_mainf2(task):
+    ctx = prime_field(2)
+    x, y = (block_diag([companion(Poly(ctx, f)) for f in task[k]]) for k in ("x", "y"))
+    verdict = centralizers_conjugate(x, y).conjugate
+    brute = cent_conjugate_bruteforce(x, y)
+    if verdict != brute:
+        return {"theorem": verdict, "brute": brute}
+    return None
 
 
 # -- witness-roundtrip --
@@ -382,27 +363,17 @@ def _weight_odd(lam):
     return sum((2 * i - 1) * part for i, part in enumerate(lam.parts, start=1))
 
 
-def _suite_partition_formulas(seed, scale, jobs):
-    scale = 12 if scale is None else scale
-    failures = []
-    checked = 0
-    for size in range(1, scale + 1):
-        for lam in partitions_of(size):
-            checked += 1
-            a = cent_dim_weight(lam)
-            b = _weight_minsum(lam)
-            c = _weight_odd(lam)
-            if not (a == b == c):
-                failures.append(
-                    {
-                        "instance": checked,
-                        "partition": list(lam.parts),
-                        "conjugate_square": a,
-                        "min_sum": b,
-                        "odd_sum": c,
-                    }
-                )
-    return scale, checked, failures
+def _partition_tasks(master, scale):
+    lams = [lam for size in range(1, scale + 1) for lam in partitions_of(size)]
+    return [{"instance": i, "partition": list(lam)} for i, lam in enumerate(lams, start=1)]
+
+
+def _check_partition(task):
+    lam = Partition(task["partition"])
+    a, b, c = cent_dim_weight(lam), _weight_minsum(lam), _weight_odd(lam)
+    if not (a == b == c):
+        return {"conjugate_square": a, "min_sum": b, "odd_sum": c}
+    return None
 
 
 # -- sn-oracle / an-oracle --
@@ -498,22 +469,26 @@ def _check_extsep(rng, task):
 
 
 _SUITES = {
-    "centdim": functools.partial(_seeded_suite, _check_centdim, 200, _centdim_tasks),
-    "nilpclass": functools.partial(_seeded_suite, _check_nilpclass, 100, _drawn_tasks),
-    "dominance": functools.partial(_seeded_suite, _check_dominance, 200, _drawn_tasks),
-    "main-theorem-f2": _suite_main_theorem_f2,
+    "centdim": functools.partial(_suite, _check_centdim, 200, _centdim_tasks),
+    "nilpclass": functools.partial(_suite, _check_nilpclass, 100, _drawn_tasks),
+    "dominance": functools.partial(_suite, _check_dominance, 200, _drawn_tasks),
+    "main-theorem-f2": functools.partial(
+        _suite, _check_mainf2, 3, _mainf2_tasks, worker=_worker
+    ),
     "witness-roundtrip": functools.partial(
-        _seeded_suite,
+        _suite,
         _check_witness,
         100,
         functools.partial(_drawn_tasks, values=("Q", "F3", "F5")),
     ),
     "sn-oracle": functools.partial(_suite_oracle, "S"),
     "an-oracle": functools.partial(_suite_oracle, "A"),
-    "partition-formulas": _suite_partition_formulas,
-    "jc": functools.partial(_seeded_suite, _check_jc, 100, _jc_tasks),
+    "partition-formulas": functools.partial(
+        _suite, _check_partition, 12, _partition_tasks, worker=_worker
+    ),
+    "jc": functools.partial(_suite, _check_jc, 100, _jc_tasks),
     "extension-separable": functools.partial(
-        _seeded_suite,
+        _suite,
         _check_extsep,
         50,
         functools.partial(_drawn_tasks, values=(2, 3, 5), key="p"),

@@ -7,6 +7,7 @@ from centtype import (
     CompositeModulus,
     DivisionByZero,
     ExtensionField,
+    Matrix,
     Poly,
     ReducibleModulus,
     TooLarge,
@@ -15,6 +16,7 @@ from centtype import (
     extension_field,
     field_from_descriptor,
     make_field,
+    poly_pow_mod,
     prime_field,
     rationals,
 )
@@ -331,3 +333,25 @@ def test_prime_field_row_kernels_match_the_generic_bodies(p):
                 assert kill not in ta
             if not cc or not sparse:
                 assert ta == target
+
+
+def test_power_edge_cases():
+    """The one square-and-multiply behind FieldElem, Poly, Matrix and
+    poly_pow_mod: exponents 0 and 1, negative field exponents."""
+    F5 = prime_field(5)
+    a = F5.elem(2)
+    assert a**0 == F5.one and a**1 == a
+    assert a**-1 == a.inverse() == F5.elem(3)
+    assert a**-3 == (a**3).inverse() == F5.elem(2)
+    assert F5.zero**0 == F5.one
+    with pytest.raises(DivisionByZero):
+        F5.zero ** -1
+    assert rationals().elem(Fraction(1, 2)) ** -2 == rationals().elem(4)
+    f = Poly(F5, [1, 2, 3])
+    assert f**0 == Poly.one(F5) and f**1 == f
+    m = Matrix(F5, [[1, 2], [3, 4]])
+    assert m**0 == Matrix.identity(F5, 2) and m**1 == m
+    # e = 0 reduces one modulo the modulus, which is 0 modulo a unit
+    assert poly_pow_mod(f, 0, Poly.one(F5)) == Poly.zero(F5)
+    with pytest.raises(ValueError):
+        poly_pow_mod(f, -1, Poly(F5, [2, 0, 1]))

@@ -261,6 +261,13 @@ def test_identity_rejects_negative_degree():
             Permutation.identity(n)
 
 
+def test_identity_rejects_non_integer_degree():
+    for n in ("3", 2.5):
+        with pytest.raises(ParseError, match="bad degree"):
+            Permutation.identity(n)
+    assert Permutation.identity(True).images == (1,)
+
+
 def _padded(g, n):
     return g.images + tuple(range(g.degree + 1, n + 1))
 
@@ -357,6 +364,8 @@ _FROM_CYCLES_ERRORS = [
     ([], -2, ParseError, "degree must be non-negative, got -2"),
     ([(1, "2")], 3, ParseError, "bad cycle point '2'"),
     ([("1", 2)], None, ParseError, "bad cycle point '1'"),
+    ([(1, 2)], "3", ParseError, "bad degree '3'"),
+    ([(1, 2)], 2.5, ParseError, "bad degree 2.5"),
 ]
 
 # (value, n, exception, message) for serialize.permutation_from_text
@@ -394,6 +403,10 @@ _FROM_TEXT_ERRORS = [
     ([1, 2.5], None, ParseError, "bad image 2.5"),
     ([2.0, 1], 3, ParseError, "bad image 2.0"),
     (["1"], None, ParseError, "bad image '1'"),
+    ("(1 2)", "3", ParseError, "bad degree '3'"),
+    ("(1 2)", 2.5, ParseError, "bad degree 2.5"),
+    ([2, 1], "3", ParseError, "bad degree '3'"),
+    ([2, 1], 2.5, ParseError, "bad degree 2.5"),
 ]
 
 

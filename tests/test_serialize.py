@@ -78,8 +78,11 @@ def test_partition_json():
     lam = Partition([3, 1, 1])
     assert partition_to_json(lam) == [3, 1, 1]
     assert partition_from_json([1, 3, 1]) == lam
-    with pytest.raises(ParseError):
-        partition_from_json([0])
+    # parts are integers, never truncated or converted
+    for bad in ([0], [2.5, 1], ["3", 1]):
+        with pytest.raises(ParseError):
+            partition_from_json(bad)
+    assert partition_from_json([True, 2]).parts == (2, 1)
 
 
 def test_type_json_shapes():

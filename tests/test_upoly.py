@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from centtype import (
     ZeroPolynomial,
     extension_field,
     is_irreducible,
+    make_field,
     poly_compose_mod,
     poly_crt,
     poly_embed,
@@ -26,6 +28,7 @@ from centtype import (
     squarefree_decomposition,
     squarefree_part,
 )
+from centtype.exactfield import random_elem
 
 Q = rationals()
 F2 = prime_field(2)
@@ -161,6 +164,37 @@ def test_squarefree():
     for part, mult in dec:
         rebuilt = rebuilt * part**mult
     assert rebuilt == f.monic()
+
+
+@pytest.mark.parametrize("tag", ["Q", "F2", "F3", "F5", "F9"])
+def test_squarefree_one_loop_across_characteristics(tag):
+    """Products with multiplicities up to 2p, so the p-th root descent
+    runs: the parts are squarefree and pairwise coprime, no multiplicity
+    repeats, and they multiply back to f.  The loop's multiplicities
+    (prime to p) come first and increase; the descent's follow, so the
+    whole list increases in characteristic 0 only."""
+    ctx = extension_field(F3, Poly(F3, [1, 0, 1])) if tag == "F9" else make_field(tag)
+    p = ctx.characteristic
+    mults = (1, 2, 3, 4) if p == 0 else (1, 2, p, p + 1, 2 * p)
+    rng = random.Random(7)
+    for _ in range(12):
+        f = Poly.constant(ctx, random_elem(ctx, rng, 3) or ctx.one)
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [random_elem(ctx, rng, 3) for _ in range(rng.randint(1, 2))]
+            f = f * Poly(ctx, coeffs + [ctx.one]) ** rng.choice(mults)
+        dec = squarefree_decomposition(f)
+        rebuilt = Poly.one(ctx)
+        for part, mult in dec:
+            assert part.is_monic() and part.degree >= 1
+            assert poly_gcd(part, part.derivative()).is_one()
+            rebuilt = rebuilt * part**mult
+        assert rebuilt == f.monic()
+        ms = [m for _, m in dec]
+        assert len(set(ms)) == len(ms)
+        loop = [m for m in ms if p == 0 or m % p]
+        assert loop == sorted(loop) == ms[: len(loop)]
+        for (g, _), (h, _) in itertools.combinations(dec, 2):
+            assert poly_gcd(g, h).is_one()
 
 
 def test_factor_over_f2():

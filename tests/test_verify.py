@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from centtype import ParseError, TooLarge, UnknownSuite, run_suite, suite_names
@@ -62,7 +65,20 @@ def test_scale_and_jobs_below_one_are_rejected():
             run_suite("centdim", **kwargs)
 
 
+def test_import_loads_no_process_pool():
+    """The pool is imported where a suite asks for more than one worker."""
+    code = (
+        "import sys, centtype; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_workers_capped_by_tasks_and_cpus(monkeypatch):
+    import concurrent.futures
+
     import centtype.verify as verify
 
     pools = []
@@ -82,7 +98,8 @@ def test_workers_capped_by_tasks_and_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+    # `_map_tasks` imports the pool from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
     serial = verify_report_to_json(run_suite("dominance", seed=2, scale=8))
     assert pools == []
@@ -141,3 +158,37 @@ def test_seeded_failures_replay_from_their_record(monkeypatch, suite, check, key
         else:
             assert "error" not in record and len(record) > len(identity)
         assert verify._seeded_worker(getattr(verify, check), identity) == record
+
+
+# suite, its check, the name replaced, the stand-in, and whether the
+# records are error records (else detail records)
+_UNSEEDED_CASES = [
+    ("main-theorem-f2", "_check_mainf2", "cent_conjugate_bruteforce", lambda x, y: None, False),
+    ("main-theorem-f2", "_check_mainf2", "centralizers_conjugate", _raise, True),
+    ("partition-formulas", "_check_partition", "cent_dim_weight", lambda lam: -1, False),
+    ("partition-formulas", "_check_partition", "_weight_odd", _raise, True),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, check, name, fake, errors",
+    _UNSEEDED_CASES,
+    ids=["%s-%s" % (c[0], c[2]) for c in _UNSEEDED_CASES],
+)
+def test_enumerated_failures_replay_from_their_record(monkeypatch, suite, check, name, fake, errors):
+    """main-theorem-f2 and partition-formulas run through the same worker:
+    a wrong answer or a crash is a record, and the worker replays it from
+    the instance's identity alone."""
+    import centtype.verify as verify
+
+    monkeypatch.setattr(verify, name, fake)
+    rep = run_suite(suite, scale=2)
+    assert len(rep.failures) == rep.instances_checked
+    keys = ("instance", "n", "x", "y") if suite == "main-theorem-f2" else ("instance", "partition")
+    for record in rep.failures:
+        identity = {k: record[k] for k in keys}
+        if errors:
+            assert set(record) == {*identity, "error"}
+        else:
+            assert "error" not in record and len(record) > len(identity)
+        assert verify._worker(getattr(verify, check), identity) == record
