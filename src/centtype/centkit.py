@@ -11,10 +11,12 @@ here returns checkable objects:
   * `witness_polynomials` produces p, q with p(X) similar to Y and q(Y)
     similar to X whenever the generalized types agree;
   * `centralizers_conjugate` turns the witness into an explicit
-    conjugator and re-verifies the span identity before reporting; both
-    share one pipeline that forms each matrix's Frobenius form once, and
-    the re-check takes U^-1 from the two forms' stored bases instead of
-    inverting U;
+    conjugator U and proves the span identity U^-1 Cent(X) U = Cent(Y)
+    from U^-1 p(X) U = Y plus equal Sylvester-kernel dimensions: every B
+    commuting with X commutes with p(X), so U^-1 B U commutes with Y and
+    U^-1 Cent(X) U lies in Cent(Y); conjugation is injective, so equal
+    dimensions make the two equal.  Both share one pipeline that forms
+    each of X, Y and p(X) in Frobenius form once;
   * `cent_conjugate_bruteforce` is an independent oracle that searches
     all of GL_n(F_p) for a conjugator, for small instances.
 
@@ -48,6 +50,7 @@ from .exactfield import PrimeField, prime_field
 from .exactmat import (
     Matrix,
     _form_conjugator,
+    _image_invariant_factors,
     frobenius_form,
     mat_eval_poly,
     minpoly,
@@ -246,11 +249,11 @@ def _reverse_match(match):
 
 def _witnesses(X, Y, seed):
     """The pipeline of `witness_polynomials` and `centralizers_conjugate`:
-    (generalized types of X and Y, (p, q, U, U^-1) or None when they
-    differ), with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct
-    matrix met in the call (X, Y, p(X), q(Y)) is put into Frobenius form
-    once, and U^-1 is read off the stored bases and transforms of the
-    forms of Y and p(X) instead of inverting U."""
+    (generalized types of X and Y, (p, q, U) or None when they differ),
+    with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct matrix met
+    in the call (X, Y, p(X)) is put into Frobenius form once.  q(Y) is
+    never formed: its invariant factors are read off the form of Y, one
+    Krylov chain of q per companion block, and must equal those of X."""
     form = lru_cache(maxsize=None)(frobenius_form)
     gta = cycle_type(form(X), seed=seed).generalized()
     gtb = cycle_type(form(Y), seed=seed).generalized()
@@ -263,9 +266,9 @@ def _witnesses(X, Y, seed):
     U = _form_conjugator(pX, form(pX), Y, form(Y))
     if U is None:
         raise VerificationError("p(X) is not similar to Y")
-    if form(mat_eval_poly(q, Y)).invariant_factors != form(X).invariant_factors:
+    if _image_invariant_factors(q, form(Y).invariant_factors) != form(X).invariant_factors:
         raise VerificationError("q(Y) is not similar to X")
-    return gta, gtb, (p, q, U, form(Y).basis * form(pX).transform)
+    return gta, gtb, (p, q, U)
 
 
 def witness_polynomials(X, Y, seed=0):
@@ -292,9 +295,12 @@ class ConjugacyCertificate:
 
     When conjugate: p(X) is similar to Y via the conjugator U (that is,
     U^-1 p(X) U = Y), q(Y) is similar to X, and U^-1 Cent(X) U equals
-    Cent(Y); the span identity is re-verified before the certificate is
-    issued.  When not conjugate, the two generalized types differ and
-    the witness fields are None.
+    Cent(Y).  The span identity is proved before the certificate is
+    issued, from U^-1 p(X) U = Y plus equal Sylvester-kernel dimensions:
+    B commuting with X commutes with p(X), so U^-1 B U lies in Cent(Y);
+    conjugation is injective, so equal dimensions give equality.  When
+    not conjugate, the two generalized types differ and the witness
+    fields are None.
     """
 
     conjugate: bool
@@ -314,12 +320,9 @@ def centralizers_conjugate(X, Y, seed=0):
     gta, gtb, witness = _witnesses(X, Y, seed)
     if witness is None:
         return ConjugacyCertificate(False, gta, gtb)
-    p, q, U, Uinv = witness
-    bx = centralizer_basis(X)
-    by = centralizer_basis(Y)
-    moved = [Uinv * B * U for B in bx.matrices]
-    if _span_rref(X.ctx, moved) != _span_rref(X.ctx, by.matrices):
-        raise VerificationError("conjugated centralizer span mismatch")
+    p, q, U = witness
+    if centralizer_basis(X).dim != centralizer_basis(Y).dim:
+        raise VerificationError("centralizers of X and Y differ in dimension")
     return ConjugacyCertificate(True, gta, gtb, p=p, q=q, conjugator=U)
 
 

@@ -125,6 +125,7 @@ class Permutation:
 
     def extend(self, n):
         """Same permutation viewed in S_n (new points fixed)."""
+        n = _degree(n)
         if n == self.degree:
             return self
         if n < self.degree:

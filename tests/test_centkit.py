@@ -328,7 +328,8 @@ def test_no_matrix_is_formed_twice(monkeypatch):
         del formed[:]
         cert = centralizers_conjugate(A, B)
         assert cert.conjugate
-        allowed = {A, B, mat_eval_poly(cert.p, A), mat_eval_poly(cert.q, B)}
+        # q(B) is checked from the form of B, never formed
+        allowed = {A, B, mat_eval_poly(cert.p, A)}
         assert formed and len(set(formed)) == len(formed)
         assert set(formed) <= allowed
         del formed[:]
@@ -407,14 +408,68 @@ def _golden(name):
         return matrix_from_json(json.load(fh))
 
 
-def test_witness_inverse_conjugator_equals_the_inverse():
-    from centtype.centkit import _witnesses
-
-    pairs = [
+def _positive_pairs():
+    rng = random.Random(63)
+    X = random_matrix(F5, 6, rng)
+    U = random_invertible(F5, 6, rng, bound=3)
+    return [
         (_golden("f5_x.json"), _golden("f5_y.json")),
         (_golden("q_sqrt2.json"), _golden("q_sqrt8.json")),
         (_golden("f9_x.json"), _golden("f9_y.json")),
+        (companion(Poly(Q, [1, -2, 1])), companion(Poly(Q, [4, -4, 1]))),
+        (X, U.inverse() * X * U),
     ]
+
+
+@pytest.mark.parametrize("wrong", ["constant", "plus_one"])
+def test_wrong_q_is_caught(monkeypatch, wrong):
+    import centtype.centkit
+    from centtype import VerificationError
+
+    glue = centtype.centkit._glue_direction
+    calls = []
+
+    def mutated(match):
+        h = glue(match)
+        calls.append(h)
+        if len(calls) % 2:
+            return h
+        # the second call in a query builds q
+        return Poly(h.ctx, [2]) if wrong == "constant" else h + Poly.one(h.ctx)
+
+    pairs = [(X, Y) for X, Y in _positive_pairs() if witness_polynomials(X, Y) is not None]
+    assert len(pairs) == 5
+    monkeypatch.setattr(centtype.centkit, "_glue_direction", mutated)
+    for X, Y in pairs:
+        with pytest.raises(VerificationError, match=r"q\(Y\) is not similar to X"):
+            centralizers_conjugate(X, Y)
+
+
+def test_short_centralizer_basis_is_caught(monkeypatch):
+    import centtype.centkit
+    from centtype import VerificationError
+    from centtype.centkit import CentralizerBasis
+
+    for X, Y in _positive_pairs():
+        monkeypatch.setattr(
+            centtype.centkit,
+            "centralizer_basis",
+            lambda M, Y=Y: (
+                CentralizerBasis(centralizer_basis(M).matrices[:-1])
+                if M == Y
+                else centralizer_basis(M)
+            ),
+        )
+        with pytest.raises(VerificationError, match="differ in dimension"):
+            centralizers_conjugate(X, Y)
+        monkeypatch.undo()
+        assert centralizers_conjugate(X, Y).conjugate
+
+
+def test_witness_conjugator_carries_p_of_x_onto_y():
+    from centtype.centkit import _witnesses
+
+    pairs = _positive_pairs()
     rng = random.Random(62)
     for ctx in (F3, F5, Q):
         for _ in range(4):
@@ -425,6 +480,5 @@ def test_witness_inverse_conjugator_equals_the_inverse():
             U = random_invertible(ctx, X.nrows, rng, bound=3)
             pairs.append((U * X * U.inverse(), Y))
     for X, Y in pairs:
-        p, _, U, Uinv = _witnesses(X, Y, 0)[2]
-        assert Uinv == U.inverse()
-        assert Uinv * mat_eval_poly(p, X) * U == Y
+        p, _, U = _witnesses(X, Y, 0)[2]
+        assert U.inverse() * mat_eval_poly(p, X) * U == Y

@@ -1,5 +1,6 @@
 """Certificate JSON stays byte-identical across changes to the witness
-pipeline.
+pipeline, and every positive certificate passes the span check on
+conjugated centralizer bases.
 
 The inputs are the first conj-fp benchmark queries of two seeds, built by
 `perfbench/gen.py`, which never imports centtype.  The expected hash was
@@ -12,7 +13,8 @@ import json
 import os
 import sys
 
-from centtype import centralizers_conjugate
+from centtype import centralizer_basis, centralizers_conjugate
+from centtype.centkit import _span_rref
 from centtype.serialize import certificate_to_json, matrix_from_json
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
@@ -33,3 +35,34 @@ def test_conj_fp_certificates_hash_as_recorded():
             h.update(json.dumps(certificate_to_json(cert), sort_keys=True, separators=(",", ":")).encode())
             h.update(b"\n")
     assert h.hexdigest() == EXPECTED
+
+
+def _golden(name):
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", name)
+    with open(path, encoding="utf-8") as fh:
+        return matrix_from_json(json.load(fh))
+
+
+def test_positive_certificates_conjugate_the_centralizer_spans():
+    """Oracle for the dimension argument of `centralizers_conjugate`:
+    U^-1 Cent(X) U and Cent(Y) have the same canonical row space."""
+    pairs = [
+        (_golden("f5_x.json"), _golden("f5_y.json")),
+        (_golden("q_sqrt2.json"), _golden("q_sqrt8.json")),
+        (_golden("f9_x.json"), _golden("f9_y.json")),
+    ]
+    for seed in (1, 3):
+        for q in gen.generate("conj-fp", seed)[:60]:
+            d = json.loads(q.doc)
+            pairs.append((matrix_from_json(d["x"]), matrix_from_json(d["y"])))
+    positives = 0
+    for X, Y in pairs:
+        cert = centralizers_conjugate(X, Y, seed=0)
+        if not cert.conjugate:
+            continue
+        positives += 1
+        U = cert.conjugator
+        Uinv = U.inverse()
+        moved = [Uinv * B * U for B in centralizer_basis(X).matrices]
+        assert _span_rref(X.ctx, moved) == _span_rref(Y.ctx, centralizer_basis(Y).matrices)
+    assert positives == 3 + 40 + 40

@@ -268,6 +268,14 @@ def test_identity_rejects_non_integer_degree():
     assert Permutation.identity(True).images == (1,)
 
 
+def test_extend_rejects_non_integer_degree():
+    g = Permutation([2, 1])
+    for n in ("3", 2.5):
+        with pytest.raises(ParseError, match="bad degree"):
+            g.extend(n)
+    assert g.extend(3).images == (2, 1, 3)
+
+
 def _padded(g, n):
     return g.images + tuple(range(g.degree + 1, n + 1))
 
