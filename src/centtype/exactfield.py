@@ -620,7 +620,7 @@ def elem_to_json(e):
 
 def elem_from_json(ctx, v):
     if isinstance(ctx, RationalField):
-        if isinstance(v, int):
+        if isinstance(v, int) and not isinstance(v, bool):
             return ctx.coerce(v)
         if isinstance(v, str):
             try:

@@ -102,6 +102,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, ctx, cols):
+        if not cols:
+            raise SizeMismatch("matrices must have at least one row and column")
         return cls(ctx, [[col[i] for col in cols] for i in range(len(cols[0]))])
 
     # -- shape --

@@ -5,19 +5,23 @@ Each suite derives every instance from a single master seed, so runs
 are reproducible and the report is byte-stable.  Failures carry the
 offending inputs verbatim.
 
-Every suite but the two permutation oracles runs through one runner
-and supplies only a task list and a mathematical check.  A task is the
-identity of one instance, a dict of its "instance" index and whatever
-the check reads.  `_worker(check, task)` runs `check(task)`; a check
-returns None or the detail fields of a failure, and an exception
-becomes an "error" field.  Every failure record is the identity plus
-those fields, so the worker replays it from its identity.  The six
-seeded suites draw a field (or "p"), a 64-bit sub-seed "seed" and, for
-jc, a "kind" per task; `_seeded_worker(check, task)` runs their
-`check(rng, task)` with `random.Random(task["seed"])`.
+All ten suites run through one runner, `_suite`, and supply only a
+task list and a mathematical check.  A task is the identity of one
+instance, a dict of its "instance" index and whatever the check reads.
+`_worker(check, task)` runs `check(task)`; a check returns None or the
+detail fields of a failure, and an exception becomes an "error" field.
+Every failure record is the identity plus those fields, so the worker
+replays it from its identity.  The six seeded suites draw a field (or
+"p"), a 64-bit sub-seed "seed" and, for jc, a "kind" per task;
+`_seeded_worker(check, task)` runs their `check(rng, task)` with
+`random.Random(task["seed"])`.  The enumerated suites run through
+`_worker`: main-theorem-f2 names a pair by "n", "x" and "y",
+partition-formulas by its "partition", and the permutation oracles by
+the degree "n" and the cycle texts "g" and "h".
 
-Suites that consist of independent instances can fan out over a process
-pool (--jobs); aggregation is order-independent.
+Each suite has a largest scale; a larger one is refused (TooLarge)
+before any task is drawn.  Tasks fan out over a process pool (--jobs),
+and failures are reported in instance order whatever the pool size.
 """
 
 from __future__ import annotations
@@ -104,15 +108,6 @@ def _map_tasks(worker, tasks, jobs):
     return [worker(t) for t in tasks]
 
 
-def _collect(results):
-    failures = []
-    for r in results:
-        if r:
-            failures.extend(r if isinstance(r, list) else [r])
-    failures.sort(key=lambda f: f.get("instance", 0))
-    return failures
-
-
 # -- the suite runner --
 
 _FIELD_TAGS = ("Q", "F2", "F3", "F5")
@@ -132,11 +127,19 @@ def _seeded_worker(check, task):
     return _worker(lambda t: check(random.Random(t["seed"]), t), task)
 
 
-def _suite(check, default_scale, draw, seed, scale, jobs, worker=_seeded_worker):
+def _suite(check, default_scale, max_scale, draw, seed, scale, jobs, worker=_seeded_worker):
+    """Run `check` on the tasks drawn at this scale; failures come in task
+    order, which is instance order."""
     scale = default_scale if scale is None else scale
+    if scale < 1:
+        raise ParseError("scale must be at least 1, got %d" % scale)
+    if scale > max_scale:
+        raise TooLarge("scale must be at most %d, got %d" % (max_scale, scale))
+    if jobs is not None and jobs < 1:
+        raise ParseError("jobs must be at least 1, got %d" % jobs)
     tasks = draw(random.Random(seed), scale)
     results = _map_tasks(functools.partial(worker, check), tasks, jobs)
-    return scale, len(tasks), _collect(results)
+    return scale, len(tasks), [r for r in results if r]
 
 
 def _drawn_tasks(master, count, values=_FIELD_TAGS, key="field", start=0, **extra):
@@ -249,7 +252,7 @@ def _invariant_chains(ctx, n):
 def _mainf2_tasks(master, scale):
     """Every pair of invariant-factor chains of degree n = 2..scale, each
     chain a list of coefficient lists."""
-    if not 2 <= scale <= 3:
+    if scale < 2:
         raise TooLarge("main-theorem-f2 scale must be 2 or 3")
     ctx = prime_field(2)
     tasks = []
@@ -378,77 +381,44 @@ def _check_partition(task):
 
 # -- sn-oracle / an-oracle --
 
-_ORACLE_CACHE = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _oracle_data(n, group):
-    key = (n, group)
-    data = _ORACLE_CACHE.get(key)
-    if data is None:
-        perms = [Permutation(t) for t in _all_images(n)]
-        if group == "A":
-            perms = [g for g in perms if g.is_even()]
-        universe = tuple(g.images for g in perms)
-        layers = [CycleLayers(g) for g in perms]
-        data = {"universe": universe, "layers": layers, "cents": {}}
-        _ORACLE_CACHE[key] = data
-    return data
+    """The elements of S_n (or A_n), by cycle text, with their images and
+    layers, and the brute-force centralizer of an images tuple, computed
+    once per process."""
+    perms = [Permutation(t) for t in _all_images(n)]
+    if group == "A":
+        perms = [g for g in perms if g.is_even()]
+    universe = tuple(g.images for g in perms)
+    cent = functools.lru_cache(maxsize=None)(lambda g: _centralizer_images(g, universe))
+    return {str(g): (g.images, CycleLayers(g)) for g in perms}, cent
 
 
-def _oracle_cent(data, i):
-    c = data["cents"].get(i)
-    if c is None:
-        c = _centralizer_images(data["universe"][i], data["universe"])
-        data["cents"][i] = c
-    return c
-
-
-def _oracle_worker(task):
-    group, n, pairs = task
-    data = _oracle_data(n, group)
-    layers = data["layers"]
-    decide = _decide_sn if group == "S" else _decide_an
-    out = []
-    for idx, i, j in pairs:
-        rep = decide(layers[i], layers[j])
-        brute = _oracle_cent(data, i) == _oracle_cent(data, j)
-        if rep.equal != brute:
-            out.append(
-                {
-                    "instance": idx,
-                    "g": str(Permutation(data["universe"][i])),
-                    "h": str(Permutation(data["universe"][j])),
-                    "theorem": rep.equal,
-                    "kind": rep.kind,
-                    "brute": brute,
-                }
-            )
-    return out
-
-
-def _suite_oracle(group, seed, scale, jobs):
-    n = 5 if scale is None else scale
-    if not 1 <= n <= 7:
-        raise TooLarge("oracle degree must be between 1 and 7")
-    data = _oracle_data(n, group)
-    count = len(data["universe"])
-    pairs = []
-    if n <= 6:
-        idx = 0
-        for i in range(count):
-            for j in range(i, count):
-                pairs.append((idx, i, j))
-                idx += 1
+def _oracle_tasks(group, master, scale):
+    """For n = scale <= 6, every pair (g, h) of S_n (or A_n) with g at or
+    before h in universe order; at n = 7, 10000 pairs drawn from the
+    master rng."""
+    texts = list(_oracle_data(scale, group)[0])
+    count = len(texts)
+    if scale <= 6:
+        pairs = ((i, j) for i in range(count) for j in range(i, count))
     else:
-        rng = random.Random(seed)
-        pairs = [
-            (k, rng.randrange(count), rng.randrange(count)) for k in range(10000)
-        ]
-    chunks = [
-        (group, n, tuple(pairs[k : k + 2000])) for k in range(0, len(pairs), 2000)
+        pairs = ((master.randrange(count), master.randrange(count)) for _ in range(10000))
+    return [
+        {"instance": k, "n": scale, "g": texts[i], "h": texts[j]}
+        for k, (i, j) in enumerate(pairs)
     ]
-    results = _map_tasks(_oracle_worker, chunks, jobs)
-    return n, len(pairs), _collect(results)
+
+
+def _check_oracle(group, task):
+    elems, cent = _oracle_data(task["n"], group)
+    (g, lg), (h, lh) = elems[task["g"]], elems[task["h"]]
+    rep = (_decide_sn if group == "S" else _decide_an)(lg, lh)
+    brute = cent(g) == cent(h)
+    if rep.equal != brute:
+        return {"theorem": rep.equal, "kind": rep.kind, "brute": brute}
+    return None
 
 
 # -- extension-separable --
@@ -468,29 +438,46 @@ def _check_extsep(rng, task):
     return None
 
 
+# each suite: its check, default scale, largest scale and task draw
 _SUITES = {
-    "centdim": functools.partial(_suite, _check_centdim, 200, _centdim_tasks),
-    "nilpclass": functools.partial(_suite, _check_nilpclass, 100, _drawn_tasks),
-    "dominance": functools.partial(_suite, _check_dominance, 200, _drawn_tasks),
+    "centdim": functools.partial(_suite, _check_centdim, 200, 10000, _centdim_tasks),
+    "nilpclass": functools.partial(_suite, _check_nilpclass, 100, 10000, _drawn_tasks),
+    "dominance": functools.partial(_suite, _check_dominance, 200, 10000, _drawn_tasks),
     "main-theorem-f2": functools.partial(
-        _suite, _check_mainf2, 3, _mainf2_tasks, worker=_worker
+        _suite, _check_mainf2, 3, 3, _mainf2_tasks, worker=_worker
     ),
     "witness-roundtrip": functools.partial(
         _suite,
         _check_witness,
         100,
+        10000,
         functools.partial(_drawn_tasks, values=("Q", "F3", "F5")),
     ),
-    "sn-oracle": functools.partial(_suite_oracle, "S"),
-    "an-oracle": functools.partial(_suite_oracle, "A"),
-    "partition-formulas": functools.partial(
-        _suite, _check_partition, 12, _partition_tasks, worker=_worker
+    "sn-oracle": functools.partial(
+        _suite,
+        functools.partial(_check_oracle, "S"),
+        5,
+        7,
+        functools.partial(_oracle_tasks, "S"),
+        worker=_worker,
     ),
-    "jc": functools.partial(_suite, _check_jc, 100, _jc_tasks),
+    "an-oracle": functools.partial(
+        _suite,
+        functools.partial(_check_oracle, "A"),
+        5,
+        7,
+        functools.partial(_oracle_tasks, "A"),
+        worker=_worker,
+    ),
+    "partition-formulas": functools.partial(
+        _suite, _check_partition, 12, 40, _partition_tasks, worker=_worker
+    ),
+    "jc": functools.partial(_suite, _check_jc, 100, 10000, _jc_tasks),
     "extension-separable": functools.partial(
         _suite,
         _check_extsep,
         50,
+        10000,
         functools.partial(_drawn_tasks, values=(2, 3, 5), key="p"),
     ),
 }
@@ -506,10 +493,6 @@ def run_suite(name, seed=0, scale=None, jobs=1):
         raise UnknownSuite(
             "unknown suite %r; choose from %s" % (name, ", ".join(_SUITES))
         )
-    if scale is not None and scale < 1:
-        raise ParseError("scale must be at least 1, got %d" % scale)
-    if jobs is not None and jobs < 1:
-        raise ParseError("jobs must be at least 1, got %d" % jobs)
     start = time.perf_counter()
     resolved, checked, failures = fn(seed, scale, jobs)
     elapsed = time.perf_counter() - start

@@ -271,6 +271,14 @@ FUZZ = [
     ("string row", {"field": "Q", "rows": ["12"]}, "ParseError"),
     ("bool entry", {"field": "F5", "rows": [[True]]}, "ParseError"),
     ("bool modulus", {"field": {"kind": "Fp", "p": True}, "rows": [[1]]}, "ParseError"),
+    ("bool coefficient over Q", {"field": "Q", "companion": [True, 1]}, "ParseError"),
+    ("false coefficient over Q", {"field": "Q", "companion": [False, 0, 1]}, "ParseError"),
+    ("bool in a Q-extension modulus",
+     {"field": {"kind": "ext", "base": {"kind": "Q"}, "modulus": [True, 0, 1]}, "rows": [[1]]},
+     "ParseError"),
+    ("bool coefficient over a Q-extension",
+     {"field": {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]}, "companion": [True, 1]},
+     "ParseError"),
     ("nested entry", {"field": "F5", "rows": [[[1]]]}, "ParseError"),
     ("nested rational", {"field": "Q", "rows": [[["1/2"]]]}, "ParseError"),
     ("array document", [[1, 2], [3, 4]], "ParseError"),

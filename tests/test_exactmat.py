@@ -238,6 +238,14 @@ def test_restrict_to_basis():
     assert R == Matrix(Q, [[1]])
 
 
+def test_empty_column_list_is_a_size_mismatch():
+    # as for Matrix(ctx, []) and block_diag([])
+    with pytest.raises(SizeMismatch):
+        Matrix.from_columns(Q, [])
+    with pytest.raises(SizeMismatch):
+        restrict_to_basis(Matrix(Q, [[1, 0], [0, 2]]), [])
+
+
 # -- the elimination core against references that do not use it --
 
 

@@ -1,9 +1,12 @@
+import dataclasses
+import functools
 import subprocess
 import sys
 
 import pytest
 
 from centtype import ParseError, TooLarge, UnknownSuite, run_suite, suite_names
+from centtype.permcent import _decide_an
 from centtype.serialize import verify_report_to_json
 
 
@@ -55,8 +58,17 @@ def test_oracle_scale_bounds():
         run_suite("sn-oracle", scale=9)
     with pytest.raises(TooLarge):
         run_suite("main-theorem-f2", scale=5)
+    with pytest.raises(TooLarge):
+        run_suite("main-theorem-f2", scale=1)
     rep = run_suite("an-oracle", scale=4)
     assert rep.passed and rep.scale == 4
+    # every suite has a largest scale, refused before any task is drawn
+    bounds = {name: 10000 for name in suite_names()}
+    bounds.update({"main-theorem-f2": 3, "sn-oracle": 7, "an-oracle": 7, "partition-formulas": 40})
+    for name, bound in bounds.items():
+        for scale in (bound + 1, 10**9):
+            with pytest.raises(TooLarge):
+                run_suite(name, scale=scale)
 
 
 def test_scale_and_jobs_below_one_are_rejected():
@@ -160,14 +172,29 @@ def test_seeded_failures_replay_from_their_record(monkeypatch, suite, check, key
         assert verify._seeded_worker(getattr(verify, check), identity) == record
 
 
-# suite, its check, the name replaced, the stand-in, and whether the
-# records are error records (else detail records)
+def _flipped_an(la, lb):
+    rep = _decide_an(la, lb)
+    return dataclasses.replace(rep, equal=not rep.equal)
+
+
+# suite, its check (a name in verify and the arguments bound to it), the
+# name replaced, the stand-in, and whether the records are error records
+# (else detail records)
 _UNSEEDED_CASES = [
-    ("main-theorem-f2", "_check_mainf2", "cent_conjugate_bruteforce", lambda x, y: None, False),
-    ("main-theorem-f2", "_check_mainf2", "centralizers_conjugate", _raise, True),
-    ("partition-formulas", "_check_partition", "cent_dim_weight", lambda lam: -1, False),
-    ("partition-formulas", "_check_partition", "_weight_odd", _raise, True),
+    ("main-theorem-f2", ("_check_mainf2",), "cent_conjugate_bruteforce", lambda x, y: None, False),
+    ("main-theorem-f2", ("_check_mainf2",), "centralizers_conjugate", _raise, True),
+    ("partition-formulas", ("_check_partition",), "cent_dim_weight", lambda lam: -1, False),
+    ("partition-formulas", ("_check_partition",), "_weight_odd", _raise, True),
+    ("an-oracle", ("_check_oracle", "A"), "_decide_an", _flipped_an, False),
+    ("sn-oracle", ("_check_oracle", "S"), "_decide_sn", _raise, True),
 ]
+
+_IDENTITY_KEYS = {
+    "main-theorem-f2": ("instance", "n", "x", "y"),
+    "partition-formulas": ("instance", "partition"),
+    "sn-oracle": ("instance", "n", "g", "h"),
+    "an-oracle": ("instance", "n", "g", "h"),
+}
 
 
 @pytest.mark.parametrize(
@@ -176,19 +203,20 @@ _UNSEEDED_CASES = [
     ids=["%s-%s" % (c[0], c[2]) for c in _UNSEEDED_CASES],
 )
 def test_enumerated_failures_replay_from_their_record(monkeypatch, suite, check, name, fake, errors):
-    """main-theorem-f2 and partition-formulas run through the same worker:
-    a wrong answer or a crash is a record, and the worker replays it from
-    the instance's identity alone."""
+    """main-theorem-f2, partition-formulas and the permutation oracles run
+    through the same worker: a wrong answer or a crash is a record, and
+    the worker replays it from the instance's identity alone."""
     import centtype.verify as verify
 
     monkeypatch.setattr(verify, name, fake)
-    rep = run_suite(suite, scale=2)
-    assert len(rep.failures) == rep.instances_checked
-    keys = ("instance", "n", "x", "y") if suite == "main-theorem-f2" else ("instance", "partition")
+    # at degree 3 the oracles check 21 pairs of S_3 and 6 of A_3
+    rep = run_suite(suite, scale=3 if suite.endswith("oracle") else 2)
+    assert len(rep.failures) == rep.instances_checked > 1
+    check = functools.partial(getattr(verify, check[0]), *check[1:])
     for record in rep.failures:
-        identity = {k: record[k] for k in keys}
+        identity = {k: record[k] for k in _IDENTITY_KEYS[suite]}
         if errors:
             assert set(record) == {*identity, "error"}
         else:
             assert "error" not in record and len(record) > len(identity)
-        assert verify._worker(getattr(verify, check), identity) == record
+        assert verify._worker(check, identity) == record
