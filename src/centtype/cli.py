@@ -144,17 +144,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         out, code = args.fn(args)
-    except ParseError as exc:
-        _emit({"error": {"type": "ParseError", "message": str(exc)}}, args.format)
-        return 2
-    except UnsupportedField as exc:
-        _emit({"error": {"type": "UnsupportedField", "message": str(exc)}}, args.format)
-        return 3
     except ExactAlgebraError as exc:
-        _emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}}, args.format
-        )
-        return 4
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, args.format)
+        return 2 if isinstance(exc, ParseError) else 3 if isinstance(exc, UnsupportedField) else 4
     except Exception as exc:
         traceback.print_exc()
         _emit({"error": {"type": "InternalError", "message": repr(exc)}}, args.format)

@@ -21,6 +21,7 @@ one reduction mod p per entry written.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -618,11 +619,16 @@ def elem_to_json(e):
     return [elem_to_json(FieldElem(ctx.base, c)) for c in e.val]
 
 
+_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+
+
 def elem_from_json(ctx, v):
     if isinstance(ctx, RationalField):
         if isinstance(v, int) and not isinstance(v, bool):
             return ctx.coerce(v)
-        if isinstance(v, str):
+        # only the "a/b" form elem_to_json writes: Fraction also takes
+        # exponents, and "1e300000000" would build a number of any size
+        if isinstance(v, str) and re.fullmatch(_RATIONAL, v.strip()):
             try:
                 return ctx.coerce(Fraction(v.strip()))
             except (ValueError, ZeroDivisionError) as exc:

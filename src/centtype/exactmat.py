@@ -1,9 +1,10 @@
 """Exact dense matrices and the rational canonical form.
 
-Matrices are immutable tuples of FieldElem rows over one FieldCtx.  On
-top of the usual arithmetic the module provides reduced row echelon
-form, kernels, inverses, determinants, and `frobenius_form`, which
-computes invariant factors together with an explicit change of basis.
+Matrices are immutable and hold rows of raw field payloads over one
+FieldCtx (see below).  On top of the usual arithmetic the module
+provides reduced row echelon form, kernels, inverses, determinants, and
+`frobenius_form`, which computes invariant factors together with an
+explicit change of basis.
 
 A matrix keeps its entries as raw field payloads (ints mod p, Fractions,
 or for an extension tuples of base payloads) in `_vals`; `rows` boxes

@@ -34,6 +34,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import OddPermutation, ParseError, TooLarge
+from .exactfield import _power
 
 
 def _image(v):
@@ -149,16 +150,8 @@ class Permutation:
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = Permutation.identity(self.degree)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        base = self.inverse() if e < 0 else self
+        return _power(base, abs(e), Permutation.identity(self.degree), operator.mul)
 
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each starting at its least point, sorted."""

@@ -122,24 +122,21 @@ def dominance_leq(a, b):
 # -- the three type levels --
 
 
-def _canon_entries(entries):
-    out = []
-    for f, lam in entries:
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        out.append((f, lam))
-    out.sort(key=lambda fl: (fl[0].degree, fl[1].parts, fl[0].key()))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Pairs (monic irreducible, multiplicity partition), canonically sorted."""
+@dataclass(frozen=True, eq=False)
+class _IrreducibleEntries:
+    """Pairs (monic irreducible, multiplicity partition), canonically sorted:
+    the entry layout shared by cycle and generalized types."""
 
     entries: tuple
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", _canon_entries(entries))
+        out = []
+        for f, lam in entries:
+            if not isinstance(lam, Partition):
+                lam = Partition(lam)
+            out.append((f, lam))
+        out.sort(key=lambda fl: (fl[0].degree, fl[1].parts, fl[0].key()))
+        object.__setattr__(self, "entries", tuple(out))
 
     @property
     def ctx(self):
@@ -151,6 +148,11 @@ class CycleType:
 
     def green(self):
         return GreenType([(f.degree, lam) for f, lam in self.entries])
+
+
+@dataclass(frozen=True, init=False)
+class CycleType(_IrreducibleEntries):
+    """Pairs (monic irreducible, multiplicity partition), canonically sorted."""
 
     def generalized(self):
         return GeneralizedType(self.entries)
@@ -182,30 +184,14 @@ class GreenType:
         return " ".join("%d^%s" % (d, lam) for d, lam in self.entries)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralizedType:
+@dataclass(frozen=True, init=False, eq=False)
+class GeneralizedType(_IrreducibleEntries):
     """Pairs (class representative, multiplicity partition).
 
     Each irreducible stands for its own ~ class, so two equal generalized
     types may carry different representatives; equality goes through the
     class matching, and hashing through the Green projection.
     """
-
-    entries: tuple
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries", _canon_entries(entries))
-
-    @property
-    def ctx(self):
-        return self.entries[0][0].ctx
-
-    @property
-    def size(self):
-        return sum(f.degree * lam.size for f, lam in self.entries)
-
-    def green(self):
-        return GreenType([(f.degree, lam) for f, lam in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, GeneralizedType):

@@ -6,22 +6,24 @@ are reproducible and the report is byte-stable.  Failures carry the
 offending inputs verbatim.
 
 All ten suites run through one runner, `_suite`, and supply only a
-task list and a mathematical check.  A task is the identity of one
+task draw and a mathematical check.  A task is the identity of one
 instance, a dict of its "instance" index and whatever the check reads.
 `_worker(check, task)` runs `check(task)`; a check returns None or the
 detail fields of a failure, and an exception becomes an "error" field.
-Every failure record is the identity plus those fields, so the worker
+Every failure record is the identity plus those fields, so `_worker`
 replays it from its identity.  The six seeded suites draw a field (or
-"p"), a 64-bit sub-seed "seed" and, for jc, a "kind" per task;
-`_seeded_worker(check, task)` runs their `check(rng, task)` with
-`random.Random(task["seed"])`.  The enumerated suites run through
-`_worker`: main-theorem-f2 names a pair by "n", "x" and "y",
-partition-formulas by its "partition", and the permutation oracles by
-the degree "n" and the cycle texts "g" and "h".
+"p"), a 64-bit sub-seed "seed" and, for jc, a "kind" per task, and
+their checks start from `random.Random(task["seed"])`.  main-theorem-f2
+names a pair by "n", "x" and "y", partition-formulas by its
+"partition", and the permutation oracles by the degree "n" and the
+cycle texts "g" and "h".
 
 Each suite has a largest scale; a larger one is refused (TooLarge)
-before any task is drawn.  Tasks fan out over a process pool (--jobs),
-and failures are reported in instance order whatever the pool size.
+before any task is drawn.  With one job each task is checked as soon as
+it is drawn, so the oracle suites, which draw their tasks lazily, never
+hold them all at once.  A process pool (--jobs) takes the tasks as one
+list, and failures are reported in instance order whatever the pool
+size.
 """
 
 from __future__ import annotations
@@ -95,9 +97,14 @@ class VerifyReport:
 
 
 def _map_tasks(worker, tasks, jobs):
+    """`worker` on each task, in task order.  One process runs them as the
+    tasks are drawn; a pool needs the whole list first."""
     # the pool forks every worker up front, so never ask for more than
     # there are tasks or CPUs
-    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs or 1, os.cpu_count() or 1)
+    if workers > 1:
+        tasks = list(tasks)
+        workers = min(workers, len(tasks))
     if workers > 1:
         # imported here, so that `import centtype` loads no process machinery
         from concurrent.futures import ProcessPoolExecutor
@@ -105,7 +112,7 @@ def _map_tasks(worker, tasks, jobs):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             return list(pool.map(worker, tasks, chunksize=chunk))
-    return [worker(t) for t in tasks]
+    return map(worker, tasks)
 
 
 # -- the suite runner --
@@ -122,12 +129,7 @@ def _worker(check, task):
     return None if details is None else {**task, **details}
 
 
-def _seeded_worker(check, task):
-    """`_worker` for a check(rng, task), seeded from the task's sub-seed."""
-    return _worker(lambda t: check(random.Random(t["seed"]), t), task)
-
-
-def _suite(check, default_scale, max_scale, draw, seed, scale, jobs, worker=_seeded_worker):
+def _suite(check, default_scale, max_scale, draw, seed, scale, jobs):
     """Run `check` on the tasks drawn at this scale; failures come in task
     order, which is instance order."""
     scale = default_scale if scale is None else scale
@@ -138,8 +140,12 @@ def _suite(check, default_scale, max_scale, draw, seed, scale, jobs, worker=_see
     if jobs is not None and jobs < 1:
         raise ParseError("jobs must be at least 1, got %d" % jobs)
     tasks = draw(random.Random(seed), scale)
-    results = _map_tasks(functools.partial(worker, check), tasks, jobs)
-    return scale, len(tasks), [r for r in results if r]
+    checked, failures = 0, []
+    for record in _map_tasks(functools.partial(_worker, check), tasks, jobs):
+        checked += 1
+        if record:
+            failures.append(record)
+    return scale, checked, failures
 
 
 def _drawn_tasks(master, count, values=_FIELD_TAGS, key="field", start=0, **extra):
@@ -167,7 +173,8 @@ def _centdim_tasks(master, scale):
     ]
 
 
-def _check_centdim(rng, task):
+def _check_centdim(task):
+    rng = random.Random(task["seed"])
     ctx = make_field(task["field"])
     n = rng.randint(1, 5 if task["field"] == "Q" else 6)
     m = random_matrix(ctx, n, rng)
@@ -181,7 +188,8 @@ def _check_centdim(rng, task):
 # -- nilpclass --
 
 
-def _check_nilpclass(rng, task):
+def _check_nilpclass(task):
+    rng = random.Random(task["seed"])
     ctx = make_field(task["field"])
     q = task["field"] == "Q"
     d = rng.randint(1, 2 if q else 3)
@@ -199,7 +207,8 @@ def _check_nilpclass(rng, task):
 # -- dominance --
 
 
-def _check_dominance(rng, task):
+def _check_dominance(task):
+    rng = random.Random(task["seed"])
     ctx = make_field(task["field"])
     q = task["field"] == "Q"
     d = rng.randint(1, 2 if q else 3)
@@ -277,7 +286,8 @@ def _check_mainf2(task):
 # -- witness-roundtrip --
 
 
-def _check_witness(rng, task):
+def _check_witness(task):
+    rng = random.Random(task["seed"])
     ctx = make_field(task["field"])
     cap = 8 if task["field"] == "Q" else 10
     comps = []
@@ -327,7 +337,8 @@ def _jc_tasks(master, scale):
     )
 
 
-def _check_jc(rng, task):
+def _check_jc(task):
+    rng = random.Random(task["seed"])
     ctx = make_field(task["field"])
     n = rng.randint(1, 4 if task["field"] == "Q" else 5)
     m = random_matrix(ctx, n, rng, bound=4)
@@ -405,10 +416,8 @@ def _oracle_tasks(group, master, scale):
         pairs = ((i, j) for i in range(count) for j in range(i, count))
     else:
         pairs = ((master.randrange(count), master.randrange(count)) for _ in range(10000))
-    return [
-        {"instance": k, "n": scale, "g": texts[i], "h": texts[j]}
-        for k, (i, j) in enumerate(pairs)
-    ]
+    for k, (i, j) in enumerate(pairs):
+        yield {"instance": k, "n": scale, "g": texts[i], "h": texts[j]}
 
 
 def _check_oracle(group, task):
@@ -424,7 +433,8 @@ def _check_oracle(group, task):
 # -- extension-separable --
 
 
-def _check_extsep(rng, task):
+def _check_extsep(task):
+    rng = random.Random(task["seed"])
     base = prime_field(task["p"])
     d = rng.randint(1, 3)
     lam = random_partition(rng.randint(1, 3), rng)
@@ -443,9 +453,7 @@ _SUITES = {
     "centdim": functools.partial(_suite, _check_centdim, 200, 10000, _centdim_tasks),
     "nilpclass": functools.partial(_suite, _check_nilpclass, 100, 10000, _drawn_tasks),
     "dominance": functools.partial(_suite, _check_dominance, 200, 10000, _drawn_tasks),
-    "main-theorem-f2": functools.partial(
-        _suite, _check_mainf2, 3, 3, _mainf2_tasks, worker=_worker
-    ),
+    "main-theorem-f2": functools.partial(_suite, _check_mainf2, 3, 3, _mainf2_tasks),
     "witness-roundtrip": functools.partial(
         _suite,
         _check_witness,
@@ -459,7 +467,6 @@ _SUITES = {
         5,
         7,
         functools.partial(_oracle_tasks, "S"),
-        worker=_worker,
     ),
     "an-oracle": functools.partial(
         _suite,
@@ -467,11 +474,8 @@ _SUITES = {
         5,
         7,
         functools.partial(_oracle_tasks, "A"),
-        worker=_worker,
     ),
-    "partition-formulas": functools.partial(
-        _suite, _check_partition, 12, 40, _partition_tasks, worker=_worker
-    ),
+    "partition-formulas": functools.partial(_suite, _check_partition, 12, 40, _partition_tasks),
     "jc": functools.partial(_suite, _check_jc, 100, 10000, _jc_tasks),
     "extension-separable": functools.partial(
         _suite,

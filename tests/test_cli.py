@@ -187,6 +187,27 @@ def test_exit_code_internal_error(monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+def _error_classes():
+    from centtype import errors
+
+    return [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+
+
+@pytest.mark.parametrize("cls", _error_classes() + [RuntimeError], ids=lambda c: c.__name__)
+def test_exit_code_and_type_of_every_error(monkeypatch, capsys, cls):
+    from centtype import cli
+
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_perm", fail)
+    code = {"ParseError": 2, "UnsupportedField": 3, "RuntimeError": 5}.get(cls.__name__, 4)
+    assert cli.main(["perm", "(1 2)", "(1 2)"]) == code
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == ("InternalError" if code == 5 else cls.__name__)
+    assert "boom" in err["message"]
+
+
 def test_json_errors_go_to_stdout(tmp_path):
     proc = run_cli("mtype", str(tmp_path / "absent.json"))
     json.loads(proc.stdout)  # must parse
@@ -264,6 +285,16 @@ _MR_BOUND = 3317044064679887385961981
 _DIGITS = "9" * 5000
 
 
+
+def _f2_tower(depth):
+    """F2 extended `depth` times: by x^2 + x + 1, then by x^2 + y x + 1
+    with y the generator of the level below."""
+    field = {"kind": "Fp", "p": 2}
+    for k in range(depth):
+        field = {"kind": "ext", "base": field, "modulus": [1, [0, 1], 1] if k else [1, 1, 1]}
+    return field
+
+
 FUZZ = [
     ("ragged rows", {"field": "F5", "rows": [[1, 2], [3]]}, "ParseError"),
     ("empty row", {"field": "F5", "rows": [[]]}, "ParseError"),
@@ -299,6 +330,15 @@ FUZZ = [
     ("zero denominator in polynomial text",
      {"field": "Q", "companion": "x^2 + 1/0"}, "ParseError"),
     ("deeply nested JSON", RawJSON("[" * 100000 + "]" * 100000), "ParseError"),
+    ("exponent in a rational", {"field": "Q", "rows": [["1e300000000"]]}, "ParseError"),
+    ("rational over the digit limit by exponent",
+     {"field": "Q", "rows": [["1e1000000"]]}, "ParseError"),
+    ("5000-digit decimal", {"field": "Q", "rows": [["0." + _DIGITS]]}, "ParseError"),
+    ("tower over the depth cap", {"field": _f2_tower(9), "rows": [[1]]}, "TooLarge"),
+    ("field modulus over the degree cap",
+     {"field": {"kind": "ext", "base": {"kind": "Fp", "p": 2}, "modulus": [1] * 601},
+      "rows": [[1]]},
+     "TooLarge"),
 ]
 
 _FUZZ_EXIT = {"ParseError": 2, "UnsupportedField": 3}

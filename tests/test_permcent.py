@@ -346,6 +346,18 @@ def test_trusted_paths_match_the_validating_constructor():
             assert layers.support(i) == frozenset(p for c in cs for p in c)
 
 
+def test_pow_matches_repeated_products():
+    """`**` equals the e-fold product (of the inverse for e < 0), at
+    degree 0 too, and a huge exponent equals its residue mod the order."""
+    rng = random.Random(19)
+    perms = [Permutation(()), P("(1 2 3)(4 5)")]
+    perms += [random_permutation(rng.randrange(1, 41), rng) for _ in range(20)]
+    for g in perms:
+        for e in range(-13, 14):
+            _assert_validated(g**e, _ref_pow(g, e))
+        _assert_validated(g ** 10**18, _ref_pow(g, 10**18 % g.order()))
+
+
 def test_bool_points_come_out_as_ints():
     g = Permutation.from_cycles([(True, 2)])
     assert g.images == (2, 1)

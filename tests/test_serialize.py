@@ -8,6 +8,7 @@ from centtype import (
     Partition,
     Permutation,
     Poly,
+    ReducibleModulus,
     TooLarge,
     cycle_type,
     companion,
@@ -15,7 +16,9 @@ from centtype import (
     rationals,
 )
 from centtype.serialize import (
+    MAX_INPUT_DEGREE,
     MAX_PERM_DEGREE,
+    MAX_TOWER_DEPTH,
     cycle_type_to_json,
     generalized_type_to_json,
     green_type_to_json,
@@ -115,3 +118,26 @@ def test_permutation_degree_cap():
     for val in ("()", "(1 2)", [2, 1]):
         with pytest.raises(ParseError):
             permutation_from_text(val, n=-1)
+
+
+def _over_f2(*moduli):
+    """A 1x1 matrix document over F2 extended by each modulus in turn."""
+    field = {"kind": "Fp", "p": 2}
+    for mod in moduli:
+        field = {"kind": "ext", "base": field, "modulus": mod}
+    return {"field": field, "rows": [[1]]}
+
+
+def test_field_descriptor_caps():
+    """Tower depth and modulus degrees are capped before any field is
+    built, at every level; at the caps the field is built as before."""
+    depth = MAX_TOWER_DEPTH
+    assert matrix_from_json(_over_f2(*[[1, 1]] * depth)).ctx.degree == 1
+    with pytest.raises(TooLarge):
+        matrix_from_json(_over_f2(*[[1, 1]] * (depth + 1)))
+    # x^d + 1 = (x + 1)^d over F2 when d is a power of two
+    top = [1] + [0] * (MAX_INPUT_DEGREE - 1) + [1]
+    with pytest.raises(ReducibleModulus):
+        matrix_from_json(_over_f2(top))
+    with pytest.raises(TooLarge):
+        matrix_from_json(_over_f2([0] + top, [1, 1]))

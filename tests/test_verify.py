@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import inspect
+import random
 import subprocess
 import sys
 
@@ -88,6 +90,27 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_serial_run_checks_each_task_before_drawing_the_next():
+    """With one job the check of instance k runs before task k + 1 is
+    drawn, so a lazy draw, as the oracle suites have, is never held whole."""
+    import centtype.verify as verify
+
+    events = []
+
+    def draw(master, scale):
+        for k in range(scale):
+            events.append(("draw", k))
+            yield {"instance": k}
+
+    def check(task):
+        events.append(("check", task["instance"]))
+        return {"odd": True} if task["instance"] % 2 else None
+
+    assert verify._suite(check, 3, 3, draw, 0, None, 1) == (3, 3, [{"instance": 1, "odd": True}])
+    assert events == [(e, k) for k in range(3) for e in ("draw", "check")]
+    assert inspect.isgenerator(verify._oracle_tasks("S", random.Random(0), 3))
+
+
 def test_workers_capped_by_tasks_and_cpus(monkeypatch):
     import concurrent.futures
 
@@ -169,7 +192,7 @@ def test_seeded_failures_replay_from_their_record(monkeypatch, suite, check, key
             assert set(record) == {*identity, "error"}
         else:
             assert "error" not in record and len(record) > len(identity)
-        assert verify._seeded_worker(getattr(verify, check), identity) == record
+        assert verify._worker(getattr(verify, check), identity) == record
 
 
 def _flipped_an(la, lb):
