@@ -93,8 +93,9 @@ def _cmd_verify(args):
     return verify_report_to_json(rep), 0 if rep.passed else 1
 
 
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+def _add_common(sp, seeded=True):
+    if seeded:
+        sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     sp.add_argument(
         "--format",
         choices=("json", "pretty"),
@@ -127,7 +128,7 @@ def _build_parser():
     p.add_argument("h", help="second permutation")
     p.add_argument("--group", choices=("sn", "an"), default="sn")
     p.add_argument("--n", type=int, default=None, help="degree (default: inferred)")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(fn=_cmd_perm)
 
     p = sub.add_parser("verify", help="run a verification suite")

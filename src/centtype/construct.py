@@ -12,6 +12,7 @@ from fractions import Fraction
 from .errors import TooLarge, UnsupportedField
 from .exactfield import RationalField, random_elem
 from .exactmat import Matrix, block_diag, companion
+from .permcent import Permutation
 from .typealg import Partition, partitions_of
 from .upoly import Poly, is_irreducible
 
@@ -90,8 +91,6 @@ def equivalent_pair(ctx, rng):
 
 
 def random_permutation(n, rng):
-    from .permcent import Permutation
-
     imgs = list(range(1, n + 1))
     rng.shuffle(imgs)
     return Permutation(imgs)
@@ -102,7 +101,5 @@ def random_even_permutation(n, rng):
     if not p.is_even():
         imgs = list(p.images)
         imgs[0], imgs[1] = imgs[1], imgs[0]
-        from .permcent import Permutation
-
         p = Permutation(imgs)
     return p

@@ -20,6 +20,7 @@ one reduction mod p per entry written.
 
 from __future__ import annotations
 
+import itertools
 import operator
 import re
 from fractions import Fraction
@@ -506,8 +507,6 @@ class ExtensionField(FieldCtx):
     def elements(self):
         if not self.is_finite():
             raise UnsupportedField("cannot enumerate an infinite field")
-        import itertools
-
         base_vals = [e.val for e in self.base.elements()]
         for vec in itertools.product(base_vals, repeat=self.degree):
             yield FieldElem(self, vec)
@@ -551,25 +550,24 @@ def prime_field(p):
     return PrimeField(p)
 
 
-def extension_field(base, modulus, check=True):
+def extension_field(base, modulus):
     """base[x]/(modulus) for a monic irreducible modulus.
 
     `modulus` is a Poly over `base` or a coefficient sequence (constant
-    first).  With check=True the modulus is verified irreducible over the
-    base and ReducibleModulus is raised otherwise.
+    first).  The modulus is verified irreducible over the base and
+    ReducibleModulus is raised otherwise; `ExtensionField(base, coeffs)`
+    builds the field without that check.
     """
+    # upoly imports this module at its top level
+    from .upoly import Poly, is_irreducible
+
     coeffs = getattr(modulus, "coeffs", None)
     if coeffs is None:
         coeffs = tuple(modulus)
     L = ExtensionField(base, coeffs)
-    if check:
-        from . import upoly
-
-        f = upoly.Poly(base, coeffs)
-        if f.degree > 1:
-            fact = upoly.poly_factor(f)
-            if len(fact.factors) != 1 or fact.factors[0][1] != 1:
-                raise ReducibleModulus("modulus %s is reducible over %s" % (f, base.short_name()))
+    f = Poly(base, coeffs)
+    if f.degree > 1 and not is_irreducible(f):
+        raise ReducibleModulus("modulus %s is reducible over %s" % (f, base.short_name()))
     return L
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 from .errors import NotSquare, SingularMatrix, SizeMismatch, VerificationError
 from .exactfield import FieldElem, _power
-from .upoly import Poly
+from .upoly import Poly, poly_gcd
 
 
 class Matrix:
@@ -519,8 +519,6 @@ def _image_invariant_factors(h, factors):
 
 def _lcm_coprime_split(f, g):
     """(f1, g1) coprime with f1 | f, g1 | g and f1 * g1 = lcm(f, g)."""
-    from .upoly import poly_gcd
-
     d = poly_gcd(f, g)
     lcm = ((f * g) // d).monic()
     f1 = (f // d).monic()

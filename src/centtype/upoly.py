@@ -25,9 +25,10 @@ whose p-th root descent runs only in characteristic p):
 Root-finding in L = K[x]/(f), whose elements are tuples of K-payloads
 (a root's payload is directly its expression over K):
   * finite K: gcd with x^|L| - x followed by degree-1 splitting;
-  * K = Q: the norm trick -- an integer shift s with squarefree
-    resultant Res_x(f(x), g(y - s x)), factored over Q, mapped back to
-    linear factors by gcds over L.
+  * K = Q: the norm trick -- an integer shift s whose norm
+    Res_x(f(x), g(y - s x)) is squarefree, factored over Q and mapped
+    back to linear factors by gcds over L.  The norm is read off one
+    Krylov chain of the Kronecker sum C_g (x) I + s I (x) C_f.
 """
 
 from __future__ import annotations
@@ -828,44 +829,6 @@ def _zz_recombine(P, lifted, pl):
     return out
 
 
-# -- resultants and interpolation (used by the rational root path) --
-
-
-def poly_resultant(a, b):
-    """Resultant of two polynomials over a common field."""
-    if a.ctx != b.ctx:
-        raise CtxMismatch("resultant over different fields")
-    ctx = a.ctx
-    if a.is_zero() or b.is_zero():
-        return ctx.zero
-    res = ctx.one
-    A, B = a, b
-    while B.degree > 0:
-        R = A % B
-        if R.is_zero():
-            return ctx.zero if B.degree > 0 else res
-        res = res * (B.lc ** (A.degree - R.degree))
-        if (A.degree * B.degree) % 2 == 1:
-            res = -res
-        A, B = B, R
-    return res * (B.lc**A.degree)
-
-
-def _lagrange(ctx, points):
-    """Interpolating polynomial through (x_i, y_i) pairs of field elements."""
-    total = Poly.zero(ctx)
-    for i, (xi, yi) in enumerate(points):
-        if yi.is_zero():
-            continue
-        term = Poly.constant(ctx, yi)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = term * Poly(ctx, [-xj, ctx.one]) * ((xi - xj).inverse())
-        total = total + term
-    return total
-
-
 # -- roots inside an extension --
 
 
@@ -911,28 +874,37 @@ def _roots_finite(g, L, seed):
 
 
 def _roots_trager(g, L):
+    # exactmat imports this module at its top level
+    from .exactmat import Matrix, _coset_order, _unit_vec, companion
+
     K = L.base
     f = Poly(K, [c for c in L.modulus_coeffs])
     d = f.degree
-    g = squarefree_part(g) if poly_gcd(g, g.derivative()).degree > 0 else g.monic()
-    D = d * g.degree
-    shift = None
+    g = squarefree_part(g)
+    m = g.degree
+    D = d * m
+    cg, cf = companion(g)._vals, companion(f)._vals
+    zero, add, mul = K.zero.val, K._add, K._mul
+    e0 = _unit_vec(K, D, 0)
     for s in range(1, 4 * D * D + 5):
-        pts = []
-        sK = K.coerce(s)
-        for y0 in range(D + 1):
-            y0K = K.coerce(y0)
-            gy = g.compose(Poly(K, [y0K, -sK]))
-            pts.append((y0K, poly_resultant(f, gy)))
-        N = _lagrange(K, pts)
-        if N.is_zero():
-            continue
-        if poly_gcd(N, N.derivative()).degree == 0:
-            shift = (s, N)
+        # the norm prod g(y - s alpha) is the characteristic polynomial
+        # of C_g (x) I + s I (x) C_f; e_0 (x) e_0 is cyclic for it exactly
+        # when its D eigenvalues beta + s alpha are distinct
+        sK = K.coerce(s).val
+        rows = []
+        for j in range(m):
+            for i in range(d):
+                row = [zero] * D
+                for k in range(m):
+                    row[k * d + i] = cg[j][k]
+                for k in range(d):
+                    row[j * d + k] = add(row[j * d + k], mul(sK, cf[i][k]))
+                rows.append(row)
+        N, chain = _coset_order(Matrix._from_vals(K, rows), e0, [])
+        if len(chain) == D and poly_gcd(N, N.derivative()).degree == 0:
             break
-    if shift is None:
+    else:
         raise UnsupportedField("no squarefree shift found for the norm resultant")
-    s, N = shift
     roots = []
     alpha = L.generator
     gl = poly_embed(g, L)

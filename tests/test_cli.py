@@ -103,6 +103,14 @@ def test_perm_subcommand():
     assert json.loads(proc.stdout)["equal"] is False
 
 
+def test_perm_takes_no_seed():
+    # perm draws nothing at random, so --seed is an argparse error (exit 2)
+    proc = run_cli("perm", "(1 2)", "()", "--seed", "1")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 1" in proc.stderr
+    assert proc.stdout == ""
+
+
 def _cap_address_space():
     # an uncapped image list of 10^8 points would need tens of GB: fail
     # with MemoryError (exit 5) instead of exhausting the machine

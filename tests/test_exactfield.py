@@ -140,6 +140,24 @@ def test_extension_rejects_reducible_modulus():
         extension_field(F2, Poly(F2, [1, 0, 1]))  # x^2 + 1 = (x+1)^2 mod 2
 
 
+def test_extension_field_has_no_check_keyword():
+    # ExtensionField(base, coeffs) is the unchecked constructor
+    F2 = prime_field(2)
+    with pytest.raises(ReducibleModulus, match=r"^modulus x\^2 \+ 1 is reducible over F2$"):
+        extension_field(F2, [1, 0, 1])
+    with pytest.raises(TypeError):
+        extension_field(F2, [1, 0, 1], check=False)
+    assert ExtensionField(F2, (F2.one, F2.zero, F2.one)).degree == 2
+
+
+def test_degree_one_modulus_over_a_q_extension_skips_factoring():
+    Q = rationals()
+    K = extension_field(Q, Poly(Q, [-2, 0, 1]))
+    # poly_factor raises UnsupportedField over Q(sqrt2), so it must not run
+    L = extension_field(K, [-K.generator, K.one])  # x - sqrt2
+    assert L.degree == 1 and L.base == K
+
+
 def test_extension_over_q():
     Q = rationals()
     L = extension_field(Q, Poly(Q, [-2, 0, 1]))  # sqrt(2)

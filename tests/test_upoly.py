@@ -8,8 +8,10 @@ from centtype import (
     CtxMismatch,
     DivisionByZero,
     ExtensionField,
+    Matrix,
     Poly,
     ZeroPolynomial,
+    companion,
     extension_field,
     is_irreducible,
     make_field,
@@ -20,7 +22,6 @@ from centtype import (
     poly_gcd,
     poly_lcm,
     poly_pow_mod,
-    poly_resultant,
     poly_roots_in_ext,
     poly_xgcd,
     prime_field,
@@ -28,7 +29,9 @@ from centtype import (
     squarefree_decomposition,
     squarefree_part,
 )
+from centtype import exactmat
 from centtype.exactfield import random_elem
+from centtype.exactmat import _coset_order, _unit_vec
 
 Q = rationals()
 F2 = prime_field(2)
@@ -140,18 +143,6 @@ def test_pow_mod():
         acc = (acc * x) % m
     # Fermat: x^(p^2) == x mod any irreducible quadratic over F_p
     assert poly_pow_mod(x, 25, m) == x % m
-
-
-def test_resultant():
-    # res(x^2-2, x^2-3) = (sqrt2^2-3)(−sqrt2^2−3)... = product of g over roots of f
-    a = Poly(Q, [-2, 0, 1])
-    b = Poly(Q, [-3, 0, 1])
-    r = poly_resultant(a, b)
-    assert r == Q.elem(1)
-    # common root => zero resultant
-    c = Poly(Q, [-2, 0, 1]) * Poly(Q, [1, 1])
-    d = Poly(Q, [-2, 0, 1]) * Poly(Q, [5, 1])
-    assert poly_resultant(c, d) == Q.elem(0)
 
 
 def test_squarefree():
@@ -297,6 +288,138 @@ def test_roots_in_q_extension_frozen():
     assert roots == ["-2x", "2x"]
     g3 = Poly(Q, [-3, 0, 1])
     assert len(poly_roots_in_ext(g3, L)) == 0
+
+
+# -- the norm of the rational root path, against an independent oracle --
+
+
+def _kron_sum(f, g, s):
+    """C_g (x) I + s I (x) C_f over Q, entry by entry from the definition."""
+    a, b = companion(g)._vals, companion(f)._vals
+    m, d = len(a), len(b)
+    return Matrix(
+        Q,
+        [
+            [a[j][k] * (i == l) + s * (j == k) * b[i][l] for k in range(m) for l in range(d)]
+            for j in range(m)
+            for i in range(d)
+        ],
+    )
+
+
+def _sylvester_res(f, h):
+    """Res_x(f, h) as the determinant of the Sylvester matrix: no Euclid,
+    no Krylov chain."""
+    n, m = f.degree, h.degree
+    fc, hc = list(reversed(f._vals)), list(reversed(h._vals))
+    rows = [[0] * i + fc + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + hc + [0] * (n - 1 - i) for i in range(n)]
+    return Matrix(Q, rows).det()
+
+
+def _norm_at(f, g, s, y):
+    """Res_x(f(x), g(y - s x)) at an integer y."""
+    return _sylvester_res(f, g.compose(Poly(Q, [y, -s])))
+
+
+def _rand_monic_q(rng, top, c):
+    return Poly(Q, [rng.randint(-c, c) for _ in range(rng.randint(1, top))] + [1])
+
+
+def test_norm_of_a_full_chain_is_the_resultant():
+    rng = random.Random(5)
+    full = 0
+    for _ in range(60):
+        f, g = _rand_monic_q(rng, 4, 3), _rand_monic_q(rng, 4, 3)
+        D = f.degree * g.degree
+        for s in (1, 2, 3):
+            N, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), [])
+            if len(chain) != D:
+                continue
+            full += 1
+            for y in range(D + 2):
+                assert N(Q.coerce(y)) == _norm_at(f, g, s, y), (str(f), str(g), s, y)
+    assert full > 150
+
+
+def test_short_chain_means_the_norm_has_a_repeated_root():
+    # small coefficients make coinciding eigenvalues beta + s alpha common
+    rng = random.Random(6)
+    short = 0
+    for _ in range(200):
+        f, g = _rand_monic_q(rng, 3, 2), _rand_monic_q(rng, 3, 2)
+        D = f.degree * g.degree
+        for s in (1, 2):
+            _, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), [])
+            if len(chain) == D:
+                continue
+            short += 1
+            # the true norm, interpolated from D + 1 Sylvester determinants
+            ys = range(D + 1)
+            V = Matrix(Q, [[Fraction(y) ** k for k in range(D + 1)] for y in ys])
+            norm = Poly(Q, V.solve_right([_norm_at(f, g, s, y) for y in ys]))
+            assert norm.degree == D
+            assert poly_gcd(norm, norm.derivative()).degree > 0, (str(f), str(g), s)
+    assert short >= 5
+
+
+def test_roots_trager_skips_a_shift_with_a_short_chain(monkeypatch):
+    # f = g = x^2 - 2: at s = 1 the eigenvalues +-sqrt2 + s(+-sqrt2) are
+    # 2sqrt2, -2sqrt2, 0, 0 and the chain stops at 3, so s = 2 is the first
+    # usable shift
+    f = Poly(Q, [-2, 0, 1])
+    seen = []
+
+    def recording(A, u, seeds):
+        out = _coset_order(A, u, seeds)
+        seen.append((A, len(out[1])))
+        return out
+
+    monkeypatch.setattr(exactmat, "_coset_order", recording)
+    roots = poly_roots_in_ext(f, ExtensionField(Q, f.coeffs))
+    assert [str(r) for _, r in roots] == ["-x", "x"]
+    assert seen == [(_kron_sum(f, f, 1), 3), (_kron_sum(f, f, 2), 4)]
+
+
+def _q(*coeffs):
+    return Poly(Q, [Fraction(c) for c in coeffs])
+
+
+# roots of g in Q[x]/(f), recorded when the norm came from D + 1
+# Euclidean resultants and Lagrange interpolation (x^2 - 2 against
+# x^2 - 8 is test_roots_in_q_extension_frozen)
+Q_ROOT_CASES = [
+    ("x3-2~x3-16", _q(-2, 0, 0, 1), _q(-16, 0, 0, 1), ["2x"]),
+    ("x4-2~x4-32", _q(-2, 0, 0, 0, 1), _q(-32, 0, 0, 0, 1), ["-2x", "2x"]),
+    ("x4-2!~x4-3", _q(-2, 0, 0, 0, 1), _q(-3, 0, 0, 0, 1), []),
+    (
+        "x4+1~x4+1(x+1)",
+        _q(1, 0, 0, 0, 1),
+        _q(1, 0, 0, 0, 1).compose(_q(1, 1)),
+        ["-x - 1", "x - 1", "-x^3 - 1", "x^3 - 1"],
+    ),
+    (
+        "x4-10x2+1~itself(x+3)",
+        _q(1, 0, -10, 0, 1),
+        _q(1, 0, -10, 0, 1).compose(_q(3, 1)),
+        ["-x - 3", "x - 3", "-x^3 + 10x - 3", "x^3 - 10x - 3"],
+    ),
+    ("x4-x-1~itself(x-5)", _q(-1, -1, 0, 0, 1), _q(-1, -1, 0, 0, 1).compose(_q(-5, 1)), ["x + 5"]),
+    ("(x2-8)^2", _q(-2, 0, 1), _q(-8, 0, 1) ** 2, ["-2x", "2x"]),
+    ("-4x2+1/2", _q(-2, 0, 1), Poly(Q, [Fraction(1, 2), 0, -4]), ["(-1/4)x", "(1/4)x"]),
+    ("x2-9 in Q", _q(-3, 1), _q(-9, 0, 1), ["-3", "3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "f, g, expected", [c[1:] for c in Q_ROOT_CASES], ids=[c[0] for c in Q_ROOT_CASES]
+)
+def test_roots_in_q_extension_frozen_cases(f, g, expected):
+    L = extension_field(Q, f)
+    roots = poly_roots_in_ext(g, L)
+    assert [str(r) for _, r in roots] == expected
+    gl = poly_embed(g, L)
+    assert all(gl(beta).is_zero() for beta, _ in roots)
 
 
 def test_poly_crt():
