@@ -486,6 +486,8 @@ class ExtensionField(FieldCtx):
         return tuple(conv[:d])
 
     def _inv(self, a):
+        if a == self.one.val:  # monic divisors: no xgcd for 1
+            return a
         from .upoly import Poly, poly_xgcd
 
         modulus = Poly._from_vals(self.base, [c.val for c in self.modulus_coeffs])
@@ -566,6 +568,7 @@ def extension_field(base, modulus):
         coeffs = tuple(modulus)
     L = ExtensionField(base, coeffs)
     f = Poly(base, coeffs)
+    # a degree-1 modulus is irreducible over every base: skip the factoring
     if f.degree > 1 and not is_irreducible(f):
         raise ReducibleModulus("modulus %s is reducible over %s" % (f, base.short_name()))
     return L

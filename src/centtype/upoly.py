@@ -9,26 +9,27 @@ Results are built by `Poly._from_vals`, which neither coerces nor boxes,
 and `coeffs` boxes the payloads as FieldElems on first read.  The public
 constructor coerces what it is given.  The module provides the
 arithmetic the rest of the package leans on: gcd/xgcd, modular
-composition, CRT, squarefree decomposition, full factorization over Q
-and over finite fields (including extension towers over F_p), and
+composition, CRT, squarefree decomposition, full factorization, and
 root-finding inside a named extension.
 
-Factorization routes, both after one squarefree split (Musser's loop,
-whose p-th root descent runs only in characteristic p):
-  * finite fields: distinct-degree via gcd(x^(q^k) - x, f), then
-    equal-degree splitting (quadratic-residue test for odd q, trace
-    polynomials for q = 2^e);
+Factorization routes, one per field family, each after one squarefree
+split (Musser's loop, whose p-th root descent runs only in
+characteristic p):
+  * finite fields, towers over F_p included: distinct-degree via
+    gcd(x^(q^k) - x, f), then equal-degree splitting (quadratic-residue
+    test for odd q, trace polynomials for q = 2^e);
   * rationals: per squarefree part a Zassenhaus round --
     factor modulo a good prime, Hensel-lift past the Landau-Mignotte
     bound, recombine subsets by trial division.  Degree is soft-capped
-    at 24.
-Root-finding in L = K[x]/(f), whose elements are tuples of K-payloads
-(a root's payload is directly its expression over K):
-  * finite K: gcd with x^|L| - x followed by degree-1 splitting;
-  * K = Q: the norm trick -- an integer shift s whose norm
-    Res_x(f(x), g(y - s x)) is squarefree, factored over Q and mapped
-    back to linear factors by gcds over L.  The norm is read off one
-    Krylov chain of the Kronecker sum C_g (x) I + s I (x) C_f.
+    at 24;
+  * extensions L = K[y]/(m) of characteristic 0: Trager's norm -- an
+    integer shift s for which the norm of f(x - s y) down to K is
+    squarefree, read off one Krylov chain of multiplication by x + s y
+    on L[x]/(f), factored over K and mapped back to factors of f by gcds
+    over L.  So a tower over Q recurses down to Q, where the same cap
+    applies to [L:Q] deg f.
+The roots of g in an extension L are its linear factors over L, on every
+field; a root's payload is directly its expression over the base.
 """
 
 from __future__ import annotations
@@ -488,7 +489,8 @@ QF_DEGREE_CAP = 24
 
 
 def poly_factor(a, seed=0):
-    """Factor into monic irreducibles over Q, F_p, or a finite extension."""
+    """Factor into monic irreducibles over Q, a finite field, or an
+    extension of characteristic 0 (a number field or a tower over Q)."""
     if a.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     ctx = a.ctx
@@ -497,15 +499,22 @@ def poly_factor(a, seed=0):
     if f.degree == 0:
         return Factorization(unit, ())
     if isinstance(ctx, RationalField):
-        pairs = _factor_rationals(f)
+        split = _factor_squarefree_rational
     elif ctx.is_finite():
         rng = random.Random(seed)
-        pairs = []
-        for g, m in squarefree_decomposition(f):
-            for h in _factor_squarefree_finite(g, rng):
-                pairs.append((h, m))
+        split = lambda g: _factor_squarefree_finite(g, rng)
     else:
-        raise UnsupportedField("factorization over %s is not supported" % ctx.short_name())
+        # Trager's norm down to Q has degree [L:Q] deg f: refuse it past
+        # the cap before the squarefree split, whose Euclid over L is slow
+        over_q, K = f.degree, ctx
+        while isinstance(K, ExtensionField):
+            over_q, K = over_q * K.degree, K.base
+        if over_q > QF_DEGREE_CAP:
+            raise UnsupportedField(
+                "rational factorization capped at degree %d (got %d)" % (QF_DEGREE_CAP, over_q)
+            )
+        split = _factor_trager
+    pairs = [(h, m) for g, m in squarefree_decomposition(f) for h in split(g)]
     pairs.sort(key=lambda im: im[0].key())
     return Factorization(unit, tuple(pairs))
 
@@ -601,28 +610,12 @@ def _equal_degree(f, k, rng):
 # rational route
 
 
-def _factor_rationals(f):
-    """[(factor, mult)] for monic f over Q."""
-    out = []
-    for part, mult in squarefree_decomposition(f):
-        if part.degree == 0:
-            continue
-        prim = _q_to_primitive_int(part)
-        for zfac in _zz_factor_squarefree(prim):
-            out.append((_int_to_monic_q(zfac), mult))
-    return out
-
-
-def _q_to_primitive_int(f):
-    """Primitive integer coefficient list (constant first, positive lc)."""
+def _factor_squarefree_rational(f):
+    """Irreducible factors of a squarefree monic f over Q, through its
+    primitive integer multiple (constant first, positive lc)."""
     den = math.lcm(*(c.denominator for c in f._vals))
-    return _z_primitive([int(c * den) for c in f._vals])
-
-
-def _int_to_monic_q(zf):
-    Q = rationals()
-    lc = zf[-1]
-    return Poly(Q, [Fraction(c, lc) for c in zf])
+    zs = _zz_factor_squarefree(_z_primitive([int(c * den) for c in f._vals]))
+    return [Poly._from_vals(f.ctx, [Fraction(c, z[-1]) for c in z]) for z in zs]
 
 
 def _primes():
@@ -829,11 +822,71 @@ def _zz_recombine(P, lifted, pl):
     return out
 
 
+# extension route
+
+
+def _factor_trager(f):
+    """Irreducible factors of a squarefree monic f over L = K[y]/(m) in
+    characteristic 0, by Trager's norm (SYMSAC 1976).
+
+    Multiplication by x + s*y on L[x]/(f) is K-linear of size
+    D = [L:K] deg f: in the basis x^j y^i (index j [L:K] + i) it is the
+    companion of f with each entry expanded into its multiplication block
+    over K, plus s (I (x) C_m).  Over the algebraic closure L[x]/(f)
+    splits into D lines, one per root alpha of m and root beta of f over
+    it, and x + s*y acts on each as beta + s*alpha.  1 has a nonzero part
+    on every line, so its Krylov chain has length D exactly when these
+    values are distinct, that is when the characteristic polynomial
+    N = Norm f(x - s*y) is squarefree.  Then each irreducible factor h of
+    N over K gives the irreducible factor gcd(f, h(x + s*y)) of f; a
+    tower over Q recurses through poly_factor over K.
+    """
+    if f.degree == 1:
+        return [f]
+    L = f.ctx
+    K, k = L.base, L.degree
+    D = k * f.degree
+    # exactmat imports this module at its top level
+    from .exactmat import Matrix, _coset_order, _unit_vec, companion
+
+    zero, y = L.zero.val, L.generator.val
+    mult = [[K.zero.val] * D for _ in range(D)]
+    for a, crow in enumerate(companion(f)._vals):
+        for b, c in enumerate(crow):
+            if c == zero:
+                continue
+            for col in range(b * k, b * k + k):  # c, c*y, ..., c*y^(k-1)
+                for i, v in enumerate(c):
+                    mult[a * k + i][col] = v
+                c = L._mul(c, y)
+    cm = companion(Poly(K, L.modulus_coeffs))._vals
+    add, mul = K._add, K._mul
+    e0 = _unit_vec(K, D, 0)
+    for s in range(1, 4 * D * D + 5):
+        sK = K.coerce(s).val
+        rows = [list(r) for r in mult]
+        for j, row in enumerate(rows):  # plus s (I (x) C_m)
+            at = j - j % k
+            for l, c in enumerate(cm[j % k]):
+                row[at + l] = add(row[at + l], mul(sK, c))
+        N, chain = _coset_order(Matrix._from_vals(K, rows), e0, [])
+        if len(chain) == D and poly_gcd(N, N.derivative()).degree == 0:
+            break
+    else:
+        raise UnsupportedField("no squarefree shift found for the norm resultant")
+    x_plus_sy = Poly(L, [L.coerce(s) * L.generator, L.one])
+    factors = [poly_gcd(f, poly_embed(h, L).compose(x_plus_sy)) for h, _ in poly_factor(N).factors]
+    if math.prod(factors, start=Poly.one(L)) != f:
+        raise VerificationError("norm factors do not multiply back to the input")
+    return factors
+
+
 # -- roots inside an extension --
 
 
 def poly_roots_in_ext(g, L, seed=0):
-    """Roots of g (over K) lying in the extension L = K[x]/(f).
+    """Roots of g (over K) lying in the extension L = K[x]/(f): the
+    degree-1 factors over L of g's squarefree part.
 
     Returns a tuple of (root, expression) pairs sorted by expression key;
     the expression is a polynomial over K of degree < deg f evaluating to
@@ -845,76 +898,10 @@ def poly_roots_in_ext(g, L, seed=0):
         raise CtxMismatch("polynomial is not over the base of the extension")
     if g.is_zero():
         raise ZeroPolynomial("every element is a root of zero")
-    if g.degree == 0:
-        return ()
-    if L.is_finite():
-        roots = _roots_finite(g, L, seed)
-    elif isinstance(L.base, RationalField):
-        roots = _roots_trager(g, L)
-    else:
-        raise UnsupportedField("root-finding supported over finite fields and Q")
-    pairs = [(beta, Poly(L.base, list(beta.val))) for beta in roots]
+    pairs = []
+    for h, _ in poly_factor(poly_embed(squarefree_part(g), L), seed).factors:
+        if h.degree == 1:
+            beta = -h.coeffs[0]
+            pairs.append((beta, Poly(L.base, list(beta.val))))
     pairs.sort(key=lambda pr: pr[1].key())
     return tuple(pairs)
-
-
-def _roots_finite(g, L, seed):
-    q = L.order()
-    gl = poly_embed(g, L)
-    gl = gl.monic()
-    if gl.degree == 1:
-        return [-gl.coeffs[0]]
-    x = Poly.x(L)
-    h = poly_gcd(poly_pow_mod(x, q, gl) - x, gl)
-    if h.degree == 0:
-        return []
-    rng = random.Random(seed)
-    linears = _equal_degree(h.monic(), 1, rng)
-    return [-lin.coeffs[0] for lin in linears]
-
-
-def _roots_trager(g, L):
-    # exactmat imports this module at its top level
-    from .exactmat import Matrix, _coset_order, _unit_vec, companion
-
-    K = L.base
-    f = Poly(K, [c for c in L.modulus_coeffs])
-    d = f.degree
-    g = squarefree_part(g)
-    m = g.degree
-    D = d * m
-    cg, cf = companion(g)._vals, companion(f)._vals
-    zero, add, mul = K.zero.val, K._add, K._mul
-    e0 = _unit_vec(K, D, 0)
-    for s in range(1, 4 * D * D + 5):
-        # the norm prod g(y - s alpha) is the characteristic polynomial
-        # of C_g (x) I + s I (x) C_f; e_0 (x) e_0 is cyclic for it exactly
-        # when its D eigenvalues beta + s alpha are distinct
-        sK = K.coerce(s).val
-        rows = []
-        for j in range(m):
-            for i in range(d):
-                row = [zero] * D
-                for k in range(m):
-                    row[k * d + i] = cg[j][k]
-                for k in range(d):
-                    row[j * d + k] = add(row[j * d + k], mul(sK, cf[i][k]))
-                rows.append(row)
-        N, chain = _coset_order(Matrix._from_vals(K, rows), e0, [])
-        if len(chain) == D and poly_gcd(N, N.derivative()).degree == 0:
-            break
-    else:
-        raise UnsupportedField("no squarefree shift found for the norm resultant")
-    roots = []
-    alpha = L.generator
-    gl = poly_embed(g, L)
-    for h, _ in poly_factor(N).factors:
-        hl = poly_embed(h, L)
-        shifted = hl.compose(Poly(L, [L.coerce(Fraction(s)) * alpha, L.one]))
-        cand = poly_gcd(gl, shifted)
-        if cand.degree == 1:
-            beta = -cand.coeffs[0]
-            if not gl(beta).is_zero():
-                raise VerificationError("norm-resultant root fails to satisfy the input")
-            roots.append(beta)
-    return roots

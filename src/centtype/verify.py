@@ -21,9 +21,9 @@ cycle texts "g" and "h".
 Each suite has a largest scale; a larger one is refused (TooLarge)
 before any task is drawn.  With one job each task is checked as soon as
 it is drawn, so the oracle suites, which draw their tasks lazily, never
-hold them all at once.  A process pool (--jobs) takes the tasks as one
-list, and failures are reported in instance order whatever the pool
-size.
+hold them all at once.  A process pool (--jobs) takes them in batches
+of `_BATCH`, all through the one pool, and failures are reported in
+instance order whatever the pool size.
 """
 
 from __future__ import annotations
@@ -96,23 +96,28 @@ class VerifyReport:
         return not self.failures
 
 
-def _map_tasks(worker, tasks, jobs):
-    """`worker` on each task, in task order.  One process runs them as the
-    tasks are drawn; a pool needs the whole list first."""
-    # the pool forks every worker up front, so never ask for more than
-    # there are tasks or CPUs
-    workers = min(jobs or 1, os.cpu_count() or 1)
-    if workers > 1:
-        tasks = list(tasks)
-        workers = min(workers, len(tasks))
-    if workers > 1:
-        # imported here, so that `import centtype` loads no process machinery
-        from concurrent.futures import ProcessPoolExecutor
+_BATCH = 4096
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            return list(pool.map(worker, tasks, chunksize=chunk))
-    return map(worker, tasks)
+
+def _map_tasks(worker, tasks, jobs):
+    """`worker` on each task, in task order, as the tasks are drawn: one
+    process runs them one at a time, a pool `_BATCH` at a time."""
+    # the pool forks every worker up front, so never ask for more than
+    # there are tasks in the first batch or CPUs
+    workers = min(jobs or 1, os.cpu_count() or 1)
+    tasks = iter(tasks)
+    batch = list(itertools.islice(tasks, _BATCH)) if workers > 1 else []
+    workers = min(workers, len(batch))
+    if workers <= 1:
+        yield from map(worker, itertools.chain(batch, tasks))
+        return
+    # imported here, so that `import centtype` loads no process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        while batch:
+            yield from pool.map(worker, batch, chunksize=max(1, len(batch) // (4 * workers)))
+            batch = list(itertools.islice(tasks, _BATCH))
 
 
 # -- the suite runner --

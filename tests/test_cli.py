@@ -159,21 +159,68 @@ def test_exit_code_parse_error(tmp_path):
     assert proc.returncode == 2
 
 
+SQRT2 = {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]}
+
+
+def check_conjugator(x_path, y_path, out):
+    """U^-1 p(X) U = Y for the printed conjugator U and polynomial p."""
+    from centtype import mat_eval_poly
+    from centtype.serialize import matrix_from_json, poly_from_json
+
+    with open(x_path, encoding="utf-8") as fx, open(y_path, encoding="utf-8") as fy:
+        X, Y = matrix_from_json(json.load(fx)), matrix_from_json(json.load(fy))
+    U = matrix_from_json(out["conjugator"])
+    p = poly_from_json(X.ctx, out["p"])
+    assert out["conjugate"] is True
+    assert U.inverse() * mat_eval_poly(p, X) * U == Y
+
+
 def test_exit_code_unsupported_field(tmp_path):
-    f = write_matrix(
-        tmp_path,
-        "m.json",
-        {"field": {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]},
-         "rows": [[["0/1", "1/1"]]]},
-    )
+    # matrices over Q(sqrt2) factor through Trager's norm, so this pair
+    # gets a certificate; exit 3 is left for inputs past the degree cap
+    f = write_matrix(tmp_path, "m.json", {"field": SQRT2, "rows": [[["0/1", "1/1"]]]})
     proc = run_cli("centconj", f, f)
+    assert proc.returncode == 0
+    check_conjugator(f, f, json.loads(proc.stdout))
+    # [Q(sqrt2):Q] * 13 = 26 is past the cap of 24
+    c = write_matrix(tmp_path, "c.json", {"field": SQRT2, "companion": "x^13 - 3"})
+    proc = run_cli("mtype", c)
     assert proc.returncode == 3
-    assert json.loads(proc.stdout)["error"]["type"] == "UnsupportedField"
+    assert json.loads(proc.stdout)["error"] == {
+        "message": "rational factorization capped at degree 24 (got 26)",
+        "type": "UnsupportedField",
+    }
     # composite modulus is the generic algebra error
     g = write_matrix(tmp_path, "n.json", {"field": {"kind": "Fp", "p": 6}, "rows": [[1]]})
     proc = run_cli("mtype", g)
     assert proc.returncode == 4
     assert json.loads(proc.stdout)["error"]["type"] == "CompositeModulus"
+
+
+def test_numberfield_mtype(tmp_path):
+    f = write_matrix(
+        tmp_path, "m.json", {"field": SQRT2, "rows": [[["1/1", "1/1"], 2], [[0, 3], "-1/2"]]}
+    )
+    proc = run_cli("mtype", f)
+    assert proc.returncode == 0, proc.stdout
+    out = json.loads(proc.stdout)
+    assert out["field"] == {"base": {"kind": "Q"}, "kind": "ext", "modulus": ["-2/1", "0/1", "1/1"]}
+    assert out["n"] == 2
+    assert out["green_type"] == [{"degree": 2, "partition": [1]}]
+
+
+@pytest.mark.parametrize("other, code", [("x^2 - 6", 0), ("x^2 - 5", 1)])
+def test_numberfield_centconj(tmp_path, other, code):
+    # sqrt6 = sqrt2 sqrt3 lies in Q(sqrt2)(sqrt3), sqrt5 does not
+    x = write_matrix(tmp_path, "x.json", {"field": SQRT2, "companion": "x^2 - 3"})
+    y = write_matrix(tmp_path, "y.json", {"field": SQRT2, "companion": other})
+    proc = run_cli("centconj", x, y)
+    assert proc.returncode == code, proc.stdout
+    out = json.loads(proc.stdout)
+    if code == 0:
+        check_conjugator(x, y, out)
+    else:
+        assert out["conjugate"] is False and out["conjugator"] is None
 
 
 def test_exit_code_internal_error(monkeypatch, capsys):

@@ -153,7 +153,7 @@ def test_extension_field_has_no_check_keyword():
 def test_degree_one_modulus_over_a_q_extension_skips_factoring():
     Q = rationals()
     K = extension_field(Q, Poly(Q, [-2, 0, 1]))
-    # poly_factor raises UnsupportedField over Q(sqrt2), so it must not run
+    # a degree-1 modulus is irreducible, so no factoring runs over Q(sqrt2)
     L = extension_field(K, [-K.generator, K.one])  # x - sqrt2
     assert L.degree == 1 and L.base == K
 

@@ -218,6 +218,29 @@ def test_poly_equivalent_over_q():
     check_inverse_pair(fib, s5, rs)
 
 
+def test_numberfield_poly_equivalent():
+    # sqrt6 = sqrt2 sqrt3, so x^2 - 3 ~ x^2 - 6 over Q(sqrt2) but not over Q
+    K = extension_field(Q, Poly(Q, [-2, 0, 1]))
+    f, g = Poly(K, [-3, 0, 1]), Poly(K, [-6, 0, 1])
+    rs = poly_equivalent(f, g)
+    assert rs is not None
+    check_inverse_pair(f, g, rs)
+    assert poly_equivalent(f, Poly(K, [-5, 0, 1])) is None
+    assert poly_equivalent(Poly(Q, [-3, 0, 1]), Poly(Q, [-6, 0, 1])) is None
+
+
+def test_numberfield_cycle_type():
+    # x^4 - 2 = (x^2 - sqrt2)(x^2 + sqrt2) over Q(sqrt2)
+    K = extension_field(Q, Poly(Q, [-2, 0, 1]))
+    y = K.generator
+    t = cycle_type(companion(Poly(K, [-2, 0, 0, 0, 1])))
+    assert [(str(f), lam.parts) for f, lam in t.entries] == [
+        ("x^2 + (0, -1)", (1,)),
+        ("x^2 + (0, 1)", (1,)),
+    ]
+    assert [f for f, _ in t.entries] == [Poly(K, [-y, 0, 1]), Poly(K, [y, 0, 1])]
+
+
 def test_poly_equivalent_rejects_reducible():
     with pytest.raises(NotIrreducible):
         poly_equivalent(Poly(Q, [-4, 0, 1]), Poly(Q, [-2, 0, 1]))

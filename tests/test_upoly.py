@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from centtype import (
     ExtensionField,
     Matrix,
     Poly,
+    ReducibleModulus,
+    UnsupportedField,
     ZeroPolynomial,
     companion,
     extension_field,
@@ -420,6 +423,126 @@ def test_roots_in_q_extension_frozen_cases(f, g, expected):
     assert [str(r) for _, r in roots] == expected
     gl = poly_embed(g, L)
     assert all(gl(beta).is_zero() for beta, _ in roots)
+
+
+# -- factoring over number fields and towers over Q (Trager's norm) --
+
+
+def _number_field(*modulus):
+    return extension_field(Q, Poly(Q, list(modulus)))
+
+
+SQRT2 = _number_field(-2, 0, 1)
+CBRT2 = _number_field(-2, 0, 0, 1)
+GAUSS = _number_field(1, 0, 1)
+
+
+def _over(K, *coeffs):
+    return Poly(K, list(coeffs))
+
+
+def _item14_case(name, K, f, factors):
+    """f over K and its factors, the factors given from K's generator y."""
+    return name, _over(K, *f), [_over(K, *cs) for cs in factors(K.generator)]
+
+
+ITEM14_CASES = [
+    _item14_case("x4-2/Q(sqrt2)", SQRT2, (-2, 0, 0, 0, 1), lambda y: [(-y, 0, 1), (y, 0, 1)]),
+    _item14_case("x3-2/Q(cbrt2)", CBRT2, (-2, 0, 0, 1), lambda y: [(-y, 1), (y * y, y, 1)]),
+    _item14_case("x4+1/Q(i)", GAUSS, (1, 0, 0, 0, 1), lambda y: [(-y, 0, 1), (y, 0, 1)]),
+    _item14_case(
+        "x6-2/Q(cbrt2)", CBRT2, (-2, 0, 0, 0, 0, 0, 1), lambda y: [(-y, 0, 1), (y * y, 0, y, 0, 1)]
+    ),
+]
+
+
+@pytest.mark.parametrize("f, factors", [c[1:] for c in ITEM14_CASES], ids=[c[0] for c in ITEM14_CASES])
+def test_numberfield_factor_cases(f, factors):
+    fac = poly_factor(f)
+    assert fac.factors == tuple((h, 1) for h in factors)
+    assert fac.expand() == f
+
+
+def _multiset(pairs):
+    out = {}
+    for h, m in pairs:
+        out[h] = out.get(h, 0) + m
+    return out
+
+
+@pytest.mark.parametrize(
+    "K, irreducibles",
+    [(SQRT2, [(-3, 0, 1), (-5, 0, 1)]), (GAUSS, [(-2, 0, 1)])],
+    ids=["Q(sqrt2)", "Q(i)"],
+)
+def test_numberfield_factor_random_products(K, irreducibles):
+    # random products of known irreducibles factor back to the same
+    # multiset: linear factors with random coefficients in K, and
+    # quadratics irreducible over K
+    rng = random.Random(21)
+    known = [_over(K, *cs) for cs in irreducibles]
+    for _ in range(10):
+        parts = []
+        while sum(h.degree for h in parts) < 4:
+            if rng.random() < 0.5:
+                c = random_elem(K, rng, bound=4)
+                parts.append(_over(K, -c, 1))
+            else:
+                parts.append(rng.choice(known))
+        f = Poly.one(K)
+        for h in parts:
+            f = f * h
+        fac = poly_factor(f)
+        assert _multiset(fac.factors) == _multiset((h, 1) for h in parts)
+        assert fac.expand() == f
+
+
+FINITE_FIELDS = [
+    ("F4", F2, (1, 1, 1)),
+    ("F8", F2, (1, 1, 0, 1)),
+    ("F9", F3, (1, 0, 1)),
+    ("F25", F5, (3, 0, 1)),
+    ("F27", F3, (1, 2, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("base, modulus", [c[1:] for c in FINITE_FIELDS], ids=[c[0] for c in FINITE_FIELDS])
+def test_roots_in_finite_extension_against_enumeration(base, modulus):
+    # oracle independent of any root finder: evaluate g at every element
+    L = extension_field(base, Poly(base, list(modulus)))
+    elements = list(L.elements())
+    rng = random.Random(len(elements))
+    found = 0
+    for _ in range(12):
+        g = rand_poly(base, rng.randrange(1, 6), rng)
+        if g.degree < 1:
+            continue
+        gl = poly_embed(g, L)
+        want = {beta.val for beta in elements if gl(beta).is_zero()}
+        roots = poly_roots_in_ext(g, L, seed=rng.randrange(100))
+        assert {beta.val for beta, _ in roots} == want
+        assert len(roots) == len(want)
+        found += len(want)
+    assert found > 0
+
+
+def test_numberfield_roots_in_a_tower():
+    # Q(sqrt2)(sqrt3) holds the square roots of 6, namely +-sqrt2 sqrt3
+    y = SQRT2.generator
+    L = extension_field(SQRT2, _over(SQRT2, -3, 0, 1))
+    roots = poly_roots_in_ext(_over(SQRT2, -6, 0, 1), L)
+    assert [r for _, r in roots] == [_over(SQRT2, 0, -y), _over(SQRT2, 0, y)]
+    with pytest.raises(ReducibleModulus):
+        extension_field(SQRT2, _over(SQRT2, -2, 0, 1))
+
+
+def test_numberfield_factor_refuses_past_the_cap_quickly():
+    # [Q(sqrt2):Q] * 13 = 26 > 24: refused before any norm is computed
+    f = _over(SQRT2, -3, *([0] * 12), 1)
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedField, match=r"^rational factorization capped at degree 24 \(got 26\)$"):
+        poly_factor(f)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_poly_crt():

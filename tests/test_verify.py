@@ -151,6 +151,47 @@ def test_workers_capped_by_tasks_and_cpus(monkeypatch):
         assert pools == []
 
 
+def test_pool_checks_tasks_before_the_draw_ends(monkeypatch):
+    # a pool takes the tasks a batch at a time, so a lazy draw of 20,000
+    # tasks is not held whole before the first check
+    import concurrent.futures
+
+    import centtype.verify as verify
+
+    events = []
+
+    class FakePool:
+        """Runs the tasks in this process, lazily, as a pool's map yields."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    def draw():
+        for k in range(20000):
+            events.append("draw")
+            yield k
+
+    def worker(task):
+        events.append("check")
+        return task
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    assert list(verify._map_tasks(worker, draw(), 2)) == list(range(20000))
+    first_check = events.index("check")
+    last_draw = len(events) - 1 - events[::-1].index("draw")
+    assert first_check < last_draw
+
+
 def _raise(*args, **kwargs):
     raise RuntimeError("injected fault")
 
