@@ -9,13 +9,15 @@ level holds a FieldElem.  Extensions may be stacked (towers), and every
 context is hashable and value-comparable.
 
 Besides the element operations `_add/_sub/_mul/_neg/_inv`, a context
-carries three row kernels, the loops that elimination, matrix products
+carries four row kernels, the loops that elimination, matrix products
 and polynomial arithmetic spend their time in: `_matvec` (payload rows
-times a payload vector), `_submul` (work[i] -= c * v on a payload list)
-and `_submul_sparse` (the same on a {index: payload} dict, dropping
-entries that become zero).  `FieldCtx` runs them through the element
-operations; `PrimeField` overrides them with plain int arithmetic and
-one reduction mod p per entry written.
+times a payload vector), `_submul` (work[i] -= c * v on a payload list),
+`_submul_sparse` (the same on a {index: payload} dict, dropping entries
+that become zero) and `_polymul` (the product of two payload rows read
+as polynomials).  `FieldCtx` runs them through the element operations;
+`PrimeField` overrides them with plain int arithmetic and one reduction
+mod p per entry written.  The private `_Residues(m)` is that arithmetic
+on Z/m for a prime power m, the ring of Hensel lifting over Q.
 """
 
 from __future__ import annotations
@@ -194,8 +196,8 @@ class FieldCtx:
 
     # subclasses provide: characteristic, _add, _sub, _mul, _neg, _inv,
     # coerce, order(), _key, _fmt, descriptor(), short_name(); they may
-    # override the row kernels _matvec, _submul and _submul_sparse below,
-    # whose generic bodies run through _add/_sub/_mul
+    # override the row kernels _matvec, _submul, _submul_sparse and
+    # _polymul below, whose generic bodies run through _add/_sub/_mul
 
     def elem(self, value):
         return self.coerce(value)
@@ -232,6 +234,16 @@ class FieldCtx:
                 target.pop(k, None)
             else:
                 target[k] = d
+
+    def _polymul(self, a, b):
+        """The product of two nonempty payload rows read as polynomials
+        (constant first), as a list of length len(a) + len(b) - 1."""
+        zero, neg, submul = self.zero.val, self._neg, self._submul
+        out = [zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                submul(out, neg(x), enumerate(b, i))
+        return out
 
     def order(self):
         """Number of elements, or None for infinite fields."""
@@ -372,6 +384,15 @@ class PrimeField(FieldCtx):
             else:
                 target.pop(k, None)
 
+    def _polymul(self, a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = self.p
+        return [c % p for c in out]
+
     def _key(self, a):
         return a
 
@@ -399,6 +420,15 @@ class PrimeField(FieldCtx):
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p
+
+
+class _Residues(PrimeField):
+    """Z/m without the primality check; only units are ever inverted."""
+
+    def __init__(self, m):
+        self.p = self.characteristic = m
+        self.zero = FieldElem(self, 0)
+        self.one = FieldElem(self, 1 % m)
 
 
 class ExtensionField(FieldCtx):

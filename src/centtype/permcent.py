@@ -37,22 +37,15 @@ from .errors import OddPermutation, ParseError, TooLarge
 from .exactfield import _power
 
 
-def _image(v):
-    """An image as a plain int (operator.index turns a bool into one);
-    anything that is not an integer is a ParseError, never truncated."""
+def _index(v, what):
+    """An image or a degree, named by `what`, as a plain int
+    (operator.index turns a bool into one); anything that is not an
+    integer is a ParseError, never truncated.  A degree's sign is checked
+    where the permutation is built."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ParseError("bad image %r" % (v,)) from None
-
-
-def _degree(n):
-    """A degree as a plain int, taken as `_image` takes an image; its sign
-    is checked where the permutation is built."""
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise ParseError("bad degree %r" % (n,)) from None
+        raise ParseError("bad %s %r" % (what, v)) from None
 
 
 class Permutation:
@@ -61,7 +54,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        imgs = tuple(map(_image, images))
+        imgs = tuple(_index(v, "image") for v in images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ParseError("images %r are not a bijection of 1..%d" % (imgs, n))
@@ -83,7 +76,7 @@ class Permutation:
     def from_cycles(cls, cycles, n=None):
         # a point that is not an int is rejected by `_from_cycles`
         top = max((p for c in cycles for p in c if isinstance(p, int)), default=0)
-        return cls._from_cycles(cycles, None if n is None else _degree(n), top)
+        return cls._from_cycles(cycles, None if n is None else _index(n, "degree"), top)
 
     @classmethod
     def _from_cycles(cls, cycles, n, top):
@@ -126,7 +119,7 @@ class Permutation:
 
     def extend(self, n):
         """Same permutation viewed in S_n (new points fixed)."""
-        n = _degree(n)
+        n = _index(n, "degree")
         if n == self.degree:
             return self
         if n < self.degree:
@@ -155,21 +148,10 @@ class Permutation:
 
     def cycles(self, include_fixed=False):
         """Disjoint cycles, each starting at its least point, sorted."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            c = [start]
-            seen[start - 1] = True
-            p = self.images[start - 1]
-            while p != start:
-                c.append(p)
-                seen[p - 1] = True
-                p = self.images[p - 1]
-            if len(c) > 1 or include_fixed:
-                out.append(tuple(c))
-        return tuple(out)
+        layers = CycleLayers(self)
+        return tuple(
+            sorted(c for i in layers.lengths() if i > 1 or include_fixed for c in layers.cycles(i))
+        )
 
     def fixed_points(self):
         return frozenset(i + 1 for i, v in enumerate(self.images) if v == i + 1)
@@ -178,11 +160,10 @@ class Permutation:
         return frozenset(i + 1 for i, v in enumerate(self.images) if v != i + 1)
 
     def is_even(self):
-        flips = sum(len(c) - 1 for c in self.cycles())
-        return flips % 2 == 0
+        return CycleLayers(self).even
 
     def order(self):
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*CycleLayers(self).lengths())
 
     def __eq__(self, other):
         if isinstance(other, Permutation):
@@ -227,8 +208,9 @@ class CycleLayers:
     __slots__ = ("degree", "images", "even", "_cycles", "_supports")
 
     def __init__(self, g):
-        """One walk over the images, as in `Permutation.cycles`, files each
-        cycle (fixed points included) under its length."""
+        """One walk over the images files each cycle (fixed points
+        included, each cycle starting at its least point) under its
+        length."""
         images = g.images
         n = len(images)
         self.degree = n

@@ -14,7 +14,8 @@ memory.  A larger degree raises TooLarge; a number too long for Python's
 integer-string conversion limit raises ParseError.  A field descriptor
 is capped before any field is built: an extension tower at depth
 `MAX_TOWER_DEPTH` and each modulus at degree `MAX_INPUT_DEGREE`, since
-every modulus is factored over the level below.  Permutations are
+every modulus is factored over the level below; over Q the product of
+the degrees is capped at `QF_DEGREE_CAP` as well.  Permutations are
 capped likewise at degree `MAX_PERM_DEGREE`, checked on the cycle
 points, the image array and the requested degree before any image list
 is built; a negative degree is a ParseError.  Each point of cycle text
@@ -31,9 +32,9 @@ from fractions import Fraction
 from .errors import ParseError, SizeMismatch, TooLarge
 from .exactfield import elem_from_json, elem_to_json, make_field
 from .exactmat import Matrix, companion
-from .permcent import Permutation, _degree, parse_cycles
+from .permcent import Permutation, _index, parse_cycles
 from .typealg import Partition
-from .upoly import Poly
+from .upoly import Poly, _check_qf_cap
 
 _TERM = re.compile(r"^(-)?(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?$")
 
@@ -114,15 +115,24 @@ def matrix_to_json(m):
 
 def _check_field(spec):
     """Cap the depth and the modulus degrees of a field descriptor before
-    any field is built; anything else malformed is left to `make_field`."""
+    any field is built; anything else malformed is left to `make_field`.
+
+    Over Q the product of the degrees is capped too: every modulus is
+    factored over the level below, and no matrix over a field of larger
+    degree gets a type (`poly_factor` refuses [L:Q] deg > QF_DEGREE_CAP).
+    """
     moduli = []
     while isinstance(spec, dict) and spec.get("kind") == "ext":
         moduli.append(spec.get("modulus"))
         spec = spec.get("base")
     _check_cap("extension tower of depth", len(moduli), MAX_TOWER_DEPTH)
+    over_q = 1
     for mod in moduli:
         if isinstance(mod, list):
             _check_cap("field modulus of degree", len(mod) - 1, MAX_INPUT_DEGREE)
+            over_q *= max(len(mod) - 1, 1)  # a shorter list is a ParseError later
+    if isinstance(spec, dict) and spec.get("kind") == "Q":
+        _check_qf_cap(over_q)
 
 
 def matrix_from_json(obj):
@@ -194,7 +204,7 @@ def variation_report_to_json(rep):
 
 def permutation_from_text(val, n=None):
     if n is not None:
-        n = _degree(n)
+        n = _index(n, "degree")
         _check_cap("permutation degree", n, MAX_PERM_DEGREE)
     if isinstance(val, str):
         cycles = parse_cycles(val)

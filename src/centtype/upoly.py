@@ -18,10 +18,13 @@ characteristic p):
   * finite fields, towers over F_p included: distinct-degree via
     gcd(x^(q^k) - x, f), then equal-degree splitting (quadratic-residue
     test for odd q, trace polynomials for q = 2^e);
-  * rationals: per squarefree part a Zassenhaus round --
-    factor modulo a good prime, Hensel-lift past the Landau-Mignotte
-    bound, recombine subsets by trial division.  Degree is soft-capped
-    at 24;
+  * rationals: per squarefree part of the primitive integer multiple,
+    a Zassenhaus round -- factor modulo a good prime p, Hensel-lift the
+    factors to p^l past twice the Landau-Mignotte bound, and recombine
+    subsets by trial division over Z.  The lifting and the subset
+    products are Poly arithmetic over Z/p^k (`exactfield._Residues`),
+    read back by symmetric lift; only integer trial division and content
+    removal stay on integer lists.  Degree is capped at QF_DEGREE_CAP;
   * extensions L = K[y]/(m) of characteristic 0: Trager's norm -- an
     integer shift s for which the norm of f(x - s y) down to K is
     squarefree, read off one Krylov chain of multiplication by x + s y
@@ -55,6 +58,7 @@ from .exactfield import (
     FieldElem,
     RationalField,
     _is_prime,
+    _Residues,
     _power,
     prime_field,
     random_elem,
@@ -203,12 +207,7 @@ class Poly:
         a, b = self._vals, other._vals
         if not a or not b:
             return Poly.zero(ctx)
-        zero, neg, submul = ctx.zero.val, ctx._neg, ctx._submul
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x != zero:
-                submul(out, neg(x), enumerate(b, i))
-        return Poly._from_vals(ctx, out)
+        return Poly._from_vals(ctx, ctx._polymul(a, b))
 
     __rmul__ = __mul__
 
@@ -488,6 +487,14 @@ class Factorization:
 QF_DEGREE_CAP = 24
 
 
+def _check_qf_cap(n):
+    """Refuse a factorization over Q of degree n above QF_DEGREE_CAP."""
+    if n > QF_DEGREE_CAP:
+        raise UnsupportedField(
+            "rational factorization capped at degree %d (got %d)" % (QF_DEGREE_CAP, n)
+        )
+
+
 def poly_factor(a, seed=0):
     """Factor into monic irreducibles over Q, a finite field, or an
     extension of characteristic 0 (a number field or a tower over Q)."""
@@ -509,10 +516,7 @@ def poly_factor(a, seed=0):
         over_q, K = f.degree, ctx
         while isinstance(K, ExtensionField):
             over_q, K = over_q * K.degree, K.base
-        if over_q > QF_DEGREE_CAP:
-            raise UnsupportedField(
-                "rational factorization capped at degree %d (got %d)" % (QF_DEGREE_CAP, over_q)
-            )
+        _check_qf_cap(over_q)
         split = _factor_trager
     pairs = [(h, m) for g, m in squarefree_decomposition(f) for h in split(g)]
     pairs.sort(key=lambda im: im[0].key())
@@ -632,10 +636,7 @@ def _zz_factor_squarefree(P):
     n = len(P) - 1
     if n == 1:
         return [P]
-    if n > QF_DEGREE_CAP:
-        raise UnsupportedField(
-            "rational factorization capped at degree %d (got %d)" % (QF_DEGREE_CAP, n)
-        )
+    _check_qf_cap(n)
     lc = P[-1]
     chosen = None
     for p in _primes():
@@ -656,125 +657,46 @@ def _zz_factor_squarefree(P):
     ell = 1
     while p**ell <= 2 * B:
         ell += 1
-    flist = [list(g._vals) for g in modular]
-    lifted = _hensel_lift(p, list(P), flist, ell)
-    return _zz_recombine(P, lifted, p**ell)
+    return _zz_recombine(P, _hensel_lift(Poly(_Residues(p**ell), P), modular))
 
 
-# integer coefficient lists, constant first
-
-
-def _zstrip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _zstrip(out)
-
-
-def _zadd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _zstrip(out)
-
-
-def _zsub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _zstrip(out)
-
-
-def _ztrunc(a, m):
-    """Coefficients reduced into the symmetric range (-m/2, m/2]."""
-    out = []
-    half = m // 2
-    for c in a:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return _zstrip(out)
-
-
-def _zdivmod_monic_mod(a, b, m):
-    """Division by b with invertible-mod-m leading coefficient, in Z/m."""
-    r = [c % m for c in a]
-    _zstrip(r)
-    inv = pow(b[-1] % m, -1, m)
-    if len(r) < len(b):
-        return [], r
-    q = [0] * (len(r) - len(b) + 1)
-    for k in range(len(r) - len(b), -1, -1):
-        idx = k + len(b) - 1
-        c = (r[idx] * inv) % m if idx < len(r) else 0
-        if c == 0:
-            continue
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = (r[k + i] - c * bc) % m
-        _zstrip(r)
-    return _zstrip(q), r
-
-
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift: f == g*h and s*g + t*h == 1 advance from m to m**2."""
-    M = m * m
-    e = _ztrunc(_zsub(f, _zmul(g, h)), M)
-    q, r = _zdivmod_monic_mod(_zmul(s, e), h, M)
-    g1 = _ztrunc(_zadd(_zadd(g, _zmul(t, e)), _zmul(q, g)), M)
-    h1 = _ztrunc(_zadd(h, r), M)
-    b = _ztrunc(_zsub(_zadd(_zmul(s, g1), _zmul(t, h1)), [1]), M)
-    c, d = _zdivmod_monic_mod(_zmul(s, b), h1, M)
-    s1 = _ztrunc(_zsub(s, d), M)
-    t1 = _ztrunc(_zsub(_zsub(t, _zmul(t, b)), _zmul(c, g1)), M)
-    return g1, h1, s1, t1
-
-
-def _hensel_lift(p, f, flist, ell):
-    """Lift monic mod-p factors of f to factors mod p**ell (recursive split)."""
-    r = len(flist)
-    pl = p**ell
-    if r == 1:
-        inv = pow(f[-1] % pl, -1, pl)
-        return [_ztrunc([c * inv for c in f], pl)]
-    k = r // 2
-    Fp = prime_field(p)
-    g = [f[-1] % p]
-    for part in flist[:k]:
-        g = [c % p for c in _zmul(g, part)]
-    h = [1]
-    for part in flist[k:]:
-        h = [c % p for c in _zmul(h, part)]
-    gp, hp = Poly(Fp, g), Poly(Fp, h)
-    one, s, t = poly_xgcd(gp, hp)
+def _hensel_lift(f, flist):
+    """Lift the monic, coprime mod-p factors in flist of f over Z/p^l =
+    f.ctx (lc(f) a unit) to its monic factors there: split flist in
+    halves g = lc(f) * prod and h = prod with s g + t h = 1 mod p, lift
+    all four from m to min(m^2, p^l) by the quadratic step of Modern
+    Computer Algebra, Alg. 15.10, and recurse into each half."""
+    if len(flist) == 1:
+        return [f.monic()]
+    Fp, pl = flist[0].ctx, f.ctx.p
+    k = len(flist) // 2
+    g = math.prod(flist[:k], start=Poly._from_vals(Fp, [f._vals[-1] % Fp.p]))
+    h = math.prod(flist[k:], start=Poly.one(Fp))
+    one, s, t = poly_xgcd(g, h)
     if not one.is_one():
         raise VerificationError("mod-p factors are not coprime")
-    g, h = _ztrunc(g, p), _ztrunc(h, p)
-    s = _ztrunc(list(s._vals), p)
-    t = _ztrunc(list(t._vals), p)
-    m = p
-    steps = max(1, (ell - 1).bit_length())
-    for _ in range(steps):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
-    g = _ztrunc(g, pl)
-    h = _ztrunc(h, pl)
-    return _hensel_lift(p, g, flist[:k], ell) + _hensel_lift(p, h, flist[k:], ell)
+    m = Fp.p
+    while m < pl:
+        m = min(m * m, pl)
+        R = _Residues(m)
+        g, h, s, t = (Poly._from_vals(R, a._vals) for a in (g, h, s, t))
+        e = Poly._from_vals(R, [c % m for c in f._vals]) - g * h
+        q, r = divmod(s * e, h)
+        g = g + t * e + q * g
+        h = h + r
+        if m < pl:  # only g and h are read after the last step
+            b = s * g + t * h - 1
+            c, d = divmod(s * b, h)
+            s = s - d
+            t = t - t * b - c * g
+    return _hensel_lift(g, flist[:k]) + _hensel_lift(h, flist[k:])
+
+
+def _ztrunc(a):
+    """The payloads of a over Z/m lifted into the range (-m/2, m/2]."""
+    m = a.ctx.p
+    half = m // 2
+    return [c - m if c > half else c for c in a._vals]
 
 
 def _z_primitive(a):
@@ -793,8 +715,8 @@ def _z_trial_divide(P, g):
     return [int(c) for c in q._vals]
 
 
-def _zz_recombine(P, lifted, pl):
-    """Zassenhaus subset search over the lifted modular factors."""
+def _zz_recombine(P, lifted):
+    """Zassenhaus subset search over the factors lifted mod p^l."""
     out = []
     live = list(range(len(lifted)))
     current = list(P)
@@ -802,10 +724,8 @@ def _zz_recombine(P, lifted, pl):
     while 2 * s <= len(live):
         hit = None
         for combo in itertools.combinations(live, s):
-            g = [current[-1]]
-            for i in combo:
-                g = _ztrunc(_zmul(g, lifted[i]), pl)
-            g = _z_primitive(g)
+            g = Poly(lifted[0].ctx, [current[-1]])
+            g = _z_primitive(_ztrunc(math.prod((lifted[i] for i in combo), start=g)))
             q = _z_trial_divide(current, g)
             if q is not None:
                 hit = (combo, g, q)

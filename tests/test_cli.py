@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -338,6 +339,7 @@ def test_ragged_rows_are_parse_errors(tmp_path):
 _MR_BOUND = 3317044064679887385961981
 # longer than Python's integer-string conversion limit (4300 digits)
 _DIGITS = "9" * 5000
+_RNG = random.Random(512)
 
 
 
@@ -394,6 +396,13 @@ FUZZ = [
      {"field": {"kind": "ext", "base": {"kind": "Fp", "p": 2}, "modulus": [1] * 601},
       "rows": [[1]]},
      "TooLarge"),
+    # refused before any field is built: the squarefree split of this
+    # modulus over Q takes minutes
+    ("dense Q modulus of degree 512",
+     {"field": {"kind": "ext", "base": {"kind": "Q"},
+                "modulus": [_RNG.randint(-9, 9) for _ in range(512)] + [1]},
+      "rows": [[1]]},
+     "UnsupportedField"),
 ]
 
 _FUZZ_EXIT = {"ParseError": 2, "UnsupportedField": 3}

@@ -305,8 +305,9 @@ def test_extension_boundary_round_trips(name):
 def test_prime_field_row_kernels_match_the_generic_bodies(p):
     """Each PrimeField row kernel gives what the generic FieldCtx body it
     overrides gives, with every payload in [0, p): on random inputs, with
-    c = 0, with empty items, and with entries that cancel to zero, which
-    the sparse kernel must drop."""
+    c = 0, with empty items, with entries that cancel to zero, which the
+    sparse kernel must drop, and with polynomial rows of length 1 or with
+    zeros at either end."""
     F = prime_field(p)
     rng = random.Random(p)
 
@@ -322,6 +323,12 @@ def test_prime_field_row_kernels_match_the_generic_bodies(p):
         got = F._matvec(rows, vec)
         assert got == FieldCtx._matvec(F, rows, vec)
         assert len(got) == n and in_range(got)
+
+        a, b = [rng.randrange(1, p) for _ in range(m)], vals(rng.randint(1, 3))
+        for x, y in ((a, b), (b, a), (a, a), (a[:1], b), ([0], a), (a + [0], [0] + b)):
+            got = F._polymul(x, y)
+            assert got == FieldCtx._polymul(F, x, y)
+            assert len(got) == len(x) + len(y) - 1 and in_range(got)
 
         c = rng.randrange(1, p)
         inv = pow(c, -1, p)

@@ -87,6 +87,28 @@ def test_cycles_and_support():
     assert layers.support(1) == frozenset({4, 7})
 
 
+def test_cycle_readers_match_a_walk_over_s6():
+    """cycles(), str, is_even() and order() read CycleLayers; here each
+    is checked on all of S_6 against a cycle walk of its own."""
+    for images in itertools.permutations(range(1, 7)):
+        g = Permutation(images)
+        walk, seen = [], set()
+        for start in range(1, 7):
+            if start not in seen:
+                c = [start]
+                while images[c[-1] - 1] != start:
+                    c.append(images[c[-1] - 1])
+                seen.update(c)
+                walk.append(tuple(c))
+        moved = [c for c in walk if len(c) > 1]
+        assert g.cycles(include_fixed=True) == tuple(walk)
+        assert g.cycles() == tuple(moved)
+        assert str(g) == ("".join("(%s)" % " ".join(map(str, c)) for c in moved) or "()")
+        assert g.is_even() == (sum(len(c) - 1 for c in walk) % 2 == 0)
+        assert g.order() == math.lcm(*map(len, walk))
+        assert g ** g.order() == Permutation.identity(6)
+
+
 def test_parity():
     assert not P("(1 2)").is_even()
     assert P("(1 2 3)").is_even()

@@ -242,6 +242,42 @@ def test_factor_over_q_fixtures():
     assert fac.factors == ((x + Poly(Q, [1]), 1),)
 
 
+# three irreducible quartics with 30-digit coefficients, constant first
+_QUARTICS = [
+    [528247590260491159499314380762, -900388254939617821852281134803,
+     -632256291782283589632698431222, -963433587491583448048641852606,
+     648057856043966642114097081145],
+    [-76641415169252216701171264739, -43903767503748886685212791260,
+     489908912063694865554362122602, 90418130924195534329308656906,
+     470304014279474709985449908670],
+    [-221239063165707237050465953937, 287618487339730217333208653334,
+     762289736279155213890535641900, -939023230371497555137431692293,
+     793238469533113688167995920639],
+]
+
+_Q_FACTOR_CASES = [
+    ("prod x^2 - p for p <= 19", [[-p, 0, 1] for p in (2, 3, 5, 7, 11, 13, 17, 19)]),
+    ("x^16 - 1", [[-1, 1], [1, 1], [1, 0, 1], [1, 0, 0, 0, 1], [1] + [0] * 7 + [1]]),
+    ("x^24 - 2", [[-2] + [0] * 23 + [1]]),
+    ("three 30-digit quartics", _QUARTICS),
+]
+
+
+@pytest.mark.parametrize("factors", [c[1] for c in _Q_FACTOR_CASES], ids=[c[0] for c in _Q_FACTOR_CASES])
+def test_factor_q_many_modular_factors_and_large_coefficients(factors):
+    """Hensel lifting and recombination with many modular factors (11 mod
+    23 for the product of the x^2 - p) or large coefficients (the
+    quartics are lifted to a 185-digit power of 7) give back exactly the
+    irreducible factors the product was built from."""
+    parts = [Poly(Q, c) for c in factors]
+    f = Poly(Q, [1])
+    for p in parts:
+        f = f * p
+    fac = poly_factor(f)
+    assert fac.unit == f.lc
+    assert fac.factors == tuple(sorted(((p.monic(), 1) for p in parts), key=lambda pm: pm[0].key()))
+
+
 def test_factor_random_q():
     rng = random.Random(23)
     x = Poly.x(Q)
