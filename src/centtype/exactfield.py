@@ -6,7 +6,10 @@ equality is representational equality: a Fraction in lowest terms for the
 rationals, a residue in [0, p) for a prime field, and a tuple of the
 immediate base field's payloads for an extension, so no payload at any
 level holds a FieldElem.  Extensions may be stacked (towers), and every
-context is hashable and value-comparable.
+context is hashable and value-comparable.  One `FieldCtx.coerce` takes
+values into Q and F_p, through each field's `_rational`; an extension
+coerces vectors and base elements itself.  Field descriptors are read by
+`serialize.field_from_descriptor`; this module holds the element codecs.
 
 Besides the element operations `_add/_sub/_mul/_neg/_inv`, a context
 carries four row kernels, the loops that elimination, matrix products
@@ -195,12 +198,29 @@ class FieldCtx:
     kind = "?"
 
     # subclasses provide: characteristic, _add, _sub, _mul, _neg, _inv,
-    # coerce, order(), _key, _fmt, descriptor(), short_name(); they may
-    # override the row kernels _matvec, _submul, _submul_sparse and
-    # _polymul below, whose generic bodies run through _add/_sub/_mul
+    # _rational or coerce, order(), _key, _fmt, descriptor(), short_name();
+    # they may override the row kernels _matvec, _submul, _submul_sparse
+    # and _polymul below, whose generic bodies run through _add/_sub/_mul
 
     def elem(self, value):
         return self.coerce(value)
+
+    def coerce(self, v):
+        """v as an element: an element of this field passes, an int or a
+        Fraction goes through `_rational`, anything else is refused."""
+        if isinstance(v, FieldElem):
+            if v.ctx is not self and v.ctx != self:
+                raise CtxMismatch(
+                    "element of %s used over %s" % (v.ctx.short_name(), self.short_name())
+                )
+            return v
+        if isinstance(v, bool):
+            raise TypeError("bool is not a field value")
+        if isinstance(v, (int, Fraction)):
+            return FieldElem(self, self._rational(v))
+        if isinstance(v, float):
+            raise TypeError("floating point is not supported")
+        raise TypeError("cannot coerce %r into %s" % (v, self.short_name()))
 
     # -- row kernels: the package's hot payload loops --
 
@@ -263,20 +283,8 @@ class RationalField(FieldCtx):
         self.zero = FieldElem(self, Fraction(0))
         self.one = FieldElem(self, Fraction(1))
 
-    def coerce(self, v):
-        if isinstance(v, FieldElem):
-            if v.ctx is not self and v.ctx != self:
-                raise CtxMismatch("element of %s used over Q" % v.ctx.short_name())
-            return v
-        if isinstance(v, bool):
-            raise TypeError("bool is not a field value")
-        if isinstance(v, int):
-            return FieldElem(self, Fraction(v))
-        if isinstance(v, Fraction):
-            return FieldElem(self, v)
-        if isinstance(v, float):
-            raise TypeError("floating point is not supported; use Fraction")
-        raise TypeError("cannot coerce %r into Q" % (v,))
+    def _rational(self, v):
+        return v if type(v) is Fraction else Fraction(v)
 
     def _add(self, a, b):
         return a + b
@@ -328,26 +336,14 @@ class PrimeField(FieldCtx):
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1 % p)
 
-    def coerce(self, v):
-        if isinstance(v, FieldElem):
-            if v.ctx is not self and v.ctx != self:
-                raise CtxMismatch(
-                    "element of %s used over %s" % (v.ctx.short_name(), self.short_name())
-                )
-            return v
-        if isinstance(v, bool):
-            raise TypeError("bool is not a field value")
+    def _rational(self, v):
+        p = self.p
         if isinstance(v, int):
-            return FieldElem(self, v % self.p)
-        if isinstance(v, Fraction):
-            num = v.numerator % self.p
-            den = v.denominator % self.p
-            if den == 0:
-                raise DivisionByZero("denominator divisible by %d" % self.p)
-            return FieldElem(self, (num * pow(den, -1, self.p)) % self.p)
-        if isinstance(v, float):
-            raise TypeError("floating point is not supported")
-        raise TypeError("cannot coerce %r into %s" % (v, self.short_name()))
+            return v % p
+        den = v.denominator % p
+        if den == 0:
+            raise DivisionByZero("denominator divisible by %d" % p)
+        return v.numerator * pow(den, -1, p) % p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -615,29 +611,7 @@ def random_elem(ctx, rng, bound=9):
     return ctx.elem(Fraction(rng.randint(-bound, bound)))
 
 
-def make_field(spec):
-    """Build a field from 'Q', 'F<p>', or a JSON descriptor dict."""
-    if isinstance(spec, FieldCtx):
-        return spec
-    if isinstance(spec, str):
-        s = spec.strip()
-        if s in ("Q", "q"):
-            return rationals()
-        if s.startswith("F"):
-            body = s[1:].lstrip("_")
-            if body.isdigit():
-                try:
-                    p = int(body)
-                except ValueError as exc:  # over the integer-string digit limit
-                    raise ParseError("prime in field spec too long: %s" % exc) from exc
-                return prime_field(p)
-        raise ParseError("unrecognized field spec %r" % spec)
-    if isinstance(spec, dict):
-        return field_from_descriptor(spec)
-    raise ParseError("unrecognized field spec %r" % (spec,))
-
-
-# -- JSON element and descriptor codecs --
+# -- JSON element codecs --
 
 
 def elem_to_json(e):
@@ -668,7 +642,7 @@ def elem_from_json(ctx, v):
     if isinstance(ctx, PrimeField):
         if isinstance(v, bool) or not isinstance(v, int):
             raise ParseError("bad residue %r" % (v,))
-        return ctx.coerce(v)
+        return FieldElem(ctx, ctx._rational(v))  # a checked int: no coerce ladder
     if isinstance(ctx, ExtensionField):
         if isinstance(v, (int, str)):
             return ctx.coerce(elem_from_json(ctx.base, v))
@@ -678,24 +652,3 @@ def elem_from_json(ctx, v):
             return ctx.coerce([elem_from_json(ctx.base, c) for c in v])
         raise ParseError("bad extension element %r" % (v,))
     raise ParseError("unknown field kind")
-
-
-def field_from_descriptor(d):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ParseError("bad field descriptor %r" % (d,))
-    kind = d["kind"]
-    if kind == "Q":
-        return rationals()
-    if kind == "Fp":
-        p = d.get("p")
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise ParseError("bad prime in descriptor %r" % (d,))
-        return prime_field(p)
-    if kind == "ext":
-        base = field_from_descriptor(d.get("base"))
-        mod = d.get("modulus")
-        if not isinstance(mod, list) or len(mod) < 2:
-            raise ParseError("bad extension modulus %r" % (mod,))
-        coeffs = [elem_from_json(base, c) for c in mod]
-        return extension_field(base, coeffs)
-    raise ParseError("unknown field kind %r" % (kind,))

@@ -11,11 +11,15 @@ Input polynomials (text or coefficient arrays) are capped at degree
 companion matrix of degree d has d^2 entries, so without the cap a
 document of a few bytes such as {"companion": "x^100000"} would exhaust
 memory.  A larger degree raises TooLarge; a number too long for Python's
-integer-string conversion limit raises ParseError.  A field descriptor
-is capped before any field is built: an extension tower at depth
-`MAX_TOWER_DEPTH` and each modulus at degree `MAX_INPUT_DEGREE`, since
-every modulus is factored over the level below; over Q the product of
-the degrees is capped at `QF_DEGREE_CAP` as well.  Permutations are
+integer-string conversion limit raises ParseError.  `make_field` reads
+'Q', 'F<p>' or a field descriptor; `field_from_descriptor` reads a
+descriptor in one walk, the same for library and CLI callers.  It
+collects the moduli from the top and checks every cap before any field
+is built, since every modulus is factored over the level below: the
+tower depth at `MAX_TOWER_DEPTH`, each modulus at degree
+`MAX_INPUT_DEGREE`, the product of the degrees at `QF_DEGREE_CAP` over
+Q and, for two or more levels, at 256 over F_p.  Then it builds the
+levels from the bottom up.  Permutations are
 capped likewise at degree `MAX_PERM_DEGREE`, checked on the cycle
 points, the image array and the requested degree before any image list
 is built; a negative degree is a ParseError.  Each point of cycle text
@@ -30,7 +34,14 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError, SizeMismatch, TooLarge
-from .exactfield import elem_from_json, elem_to_json, make_field
+from .exactfield import (
+    FieldCtx,
+    elem_from_json,
+    elem_to_json,
+    extension_field,
+    prime_field,
+    rationals,
+)
 from .exactmat import Matrix, companion
 from .permcent import Permutation, _index, parse_cycles
 from .typealg import Partition
@@ -53,6 +64,11 @@ MAX_PERM_DEGREE = 100000
 # and over 40 s at depth 9; with x + 1 at every level, 0.4 s at depth 10,
 # 2.7 s at depth 12 and over 60 s at depth 50.
 MAX_TOWER_DEPTH = 6
+
+# Over F_p that cost grows with the absolute degree: `mtype` on [[1]] over
+# F2 < F4 < a degree-255 level took 39.6 s.  A single level keeps the
+# MAX_INPUT_DEGREE cap: it is factored with the prime field's int kernels.
+_MAX_FP_TOWER_DEGREE = 256
 
 
 def _check_cap(what, value, cap):
@@ -113,32 +129,65 @@ def matrix_to_json(m):
     }
 
 
-def _check_field(spec):
-    """Cap the depth and the modulus degrees of a field descriptor before
-    any field is built; anything else malformed is left to `make_field`.
+def make_field(spec):
+    """Build a field from 'Q', 'F<p>', or a JSON descriptor dict."""
+    if isinstance(spec, FieldCtx):
+        return spec
+    if isinstance(spec, str):
+        s = spec.strip()
+        if s in ("Q", "q"):
+            return rationals()
+        body = s[1:].lstrip("_")
+        if s.startswith("F") and body.isdigit():
+            try:
+                p = int(body)
+            except ValueError as exc:  # over the integer-string digit limit
+                raise ParseError("prime in field spec too long: %s" % exc) from exc
+            return prime_field(p)
+        raise ParseError("unrecognized field spec %r" % spec)
+    if isinstance(spec, dict):
+        return field_from_descriptor(spec)
+    raise ParseError("unrecognized field spec %r" % (spec,))
 
-    Over Q the product of the degrees is capped too: every modulus is
-    factored over the level below, and no matrix over a field of larger
-    degree gets a type (`poly_factor` refuses [L:Q] deg > QF_DEGREE_CAP).
-    """
+
+def field_from_descriptor(d):
+    """Build the field of a JSON descriptor in one walk: collect the moduli
+    from the top, check every cap, read the bottom field, then build each
+    level over the one below."""
     moduli = []
-    while isinstance(spec, dict) and spec.get("kind") == "ext":
-        moduli.append(spec.get("modulus"))
-        spec = spec.get("base")
+    while isinstance(d, dict) and d.get("kind") == "ext":
+        moduli.append(d.get("modulus"))
+        d = d.get("base")
     _check_cap("extension tower of depth", len(moduli), MAX_TOWER_DEPTH)
-    over_q = 1
+    degree = 1
     for mod in moduli:
         if isinstance(mod, list):
             _check_cap("field modulus of degree", len(mod) - 1, MAX_INPUT_DEGREE)
-            over_q *= max(len(mod) - 1, 1)  # a shorter list is a ParseError later
-    if isinstance(spec, dict) and spec.get("kind") == "Q":
-        _check_qf_cap(over_q)
+            degree *= max(len(mod) - 1, 1)  # a shorter list is a ParseError below
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ParseError("bad field descriptor %r" % (d,))
+    if d["kind"] == "Q":
+        _check_qf_cap(degree)
+        K = rationals()
+    elif d["kind"] == "Fp":
+        if len(moduli) > 1:
+            _check_cap("extension tower over F_p of degree", degree, _MAX_FP_TOWER_DEGREE)
+        p = d.get("p")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise ParseError("bad prime in descriptor %r" % (d,))
+        K = prime_field(p)
+    else:
+        raise ParseError("unknown field kind %r" % (d["kind"],))
+    for mod in reversed(moduli):
+        if not isinstance(mod, list) or len(mod) < 2:
+            raise ParseError("bad extension modulus %r" % (mod,))
+        K = extension_field(K, [elem_from_json(K, c) for c in mod])
+    return K
 
 
 def matrix_from_json(obj):
     if not isinstance(obj, dict) or "field" not in obj:
         raise ParseError("matrix JSON must be an object with a 'field' key")
-    _check_field(obj["field"])
     ctx = make_field(obj["field"])
     if "companion" in obj:
         return companion(poly_from_json(ctx, obj["companion"]))

@@ -11,7 +11,9 @@ equivalence class under
 which is exactly the relation deciding conjugacy of centralizer
 algebras.  Over a finite field every two irreducibles of equal degree
 are equivalent, so the generalized type carries the same information as
-the Green type there; over Q it is strictly finer.
+the Green type there; over Q it is strictly finer.  All three levels
+share one entry layout: (head, partition) pairs sorted by degree,
+partition and head, the head an irreducible or, in a Green type, a degree.
 
 `poly_equivalent` does not just decide the relation: it returns a
 matched pair (r, s) with r mapping the distinguished root of f to a
@@ -122,20 +124,28 @@ def dominance_leq(a, b):
 # -- the three type levels --
 
 
+def _degree(head):
+    return head if isinstance(head, int) else head.degree
+
+
 @dataclass(frozen=True, eq=False)
-class _IrreducibleEntries:
-    """Pairs (monic irreducible, multiplicity partition), canonically sorted:
-    the entry layout shared by cycle and generalized types."""
+class _TypeEntries:
+    """Pairs (head, multiplicity partition) sorted by degree, partition
+    and head: the entry layout of all three type levels.  A head is a
+    monic irreducible over `ctx`, or in a Green type its degree."""
 
     entries: tuple
 
     def __init__(self, entries):
         out = []
-        for f, lam in entries:
+        for head, lam in entries:
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
-            out.append((f, lam))
-        out.sort(key=lambda fl: (fl[0].degree, fl[1].parts, fl[0].key()))
+            out.append((head, lam))
+        # an int head, a Green type's degree, has an empty key
+        out.sort(
+            key=lambda e: (_degree(e[0]), e[1].parts, () if isinstance(e[0], int) else e[0].key())
+        )
         object.__setattr__(self, "entries", tuple(out))
 
     @property
@@ -144,14 +154,14 @@ class _IrreducibleEntries:
 
     @property
     def size(self):
-        return sum(f.degree * lam.size for f, lam in self.entries)
+        return sum(_degree(head) * lam.size for head, lam in self.entries)
 
     def green(self):
-        return GreenType([(f.degree, lam) for f, lam in self.entries])
+        return GreenType([(_degree(head), lam) for head, lam in self.entries])
 
 
 @dataclass(frozen=True, init=False)
-class CycleType(_IrreducibleEntries):
+class CycleType(_TypeEntries):
     """Pairs (monic irreducible, multiplicity partition), canonically sorted."""
 
     def generalized(self):
@@ -162,30 +172,18 @@ class CycleType(_IrreducibleEntries):
 
 
 @dataclass(frozen=True)
-class GreenType:
+class GreenType(_TypeEntries):
     """Pairs (degree, multiplicity partition) with repetition, sorted."""
 
-    entries: tuple
-
     def __init__(self, entries):
-        out = []
-        for d, lam in entries:
-            if not isinstance(lam, Partition):
-                lam = Partition(lam)
-            out.append((int(d), lam))
-        out.sort(key=lambda dl: (dl[0], dl[1].parts))
-        object.__setattr__(self, "entries", tuple(out))
-
-    @property
-    def size(self):
-        return sum(d * lam.size for d, lam in self.entries)
+        super().__init__((int(d), lam) for d, lam in entries)
 
     def __str__(self):
         return " ".join("%d^%s" % (d, lam) for d, lam in self.entries)
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class GeneralizedType(_IrreducibleEntries):
+class GeneralizedType(_TypeEntries):
     """Pairs (class representative, multiplicity partition).
 
     Each irreducible stands for its own ~ class, so two equal generalized
@@ -209,11 +207,7 @@ class GeneralizedType(_IrreducibleEntries):
 
 def cent_dim_formula(t):
     """Centralizer algebra dimension from a type: sum of deg * weight."""
-    total = 0
-    for head, lam in t.entries:
-        d = head if isinstance(head, int) else head.degree
-        total += d * cent_dim_weight(lam)
-    return total
+    return sum(_degree(head) * cent_dim_weight(lam) for head, lam in t.entries)
 
 
 # -- computing types of matrices --
@@ -343,8 +337,3 @@ def gentype_matching(ta, tb):
         used.add(i)
         out.append(((f, lam), tb.entries[i], rs))
     return tuple(out)
-
-
-def gentype_equal(ta, tb):
-    """Decide equality of generalized types via class matching."""
-    return gentype_matching(ta, tb) is not None

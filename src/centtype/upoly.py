@@ -28,9 +28,10 @@ characteristic p):
   * extensions L = K[y]/(m) of characteristic 0: Trager's norm -- an
     integer shift s for which the norm of f(x - s y) down to K is
     squarefree, read off one Krylov chain of multiplication by x + s y
-    on L[x]/(f), factored over K and mapped back to factors of f by gcds
-    over L.  So a tower over Q recurses down to Q, where the same cap
-    applies to [L:Q] deg f.
+    on L[x]/(f) (companion(f) + s y I over L, each entry expanded once
+    into its block over K), factored over K and mapped back to factors
+    of f by gcds over L.  So a tower over Q recurses down to Q, where the
+    same cap applies to [L:Q] deg f.
 The roots of g in an extension L are its linear factors over L, on every
 field; a root's payload is directly its expression over the base.
 """
@@ -337,7 +338,8 @@ def poly_gcd(a, b):
 
 
 def poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic or zero."""
+    """(g, s, t) with s*a + t*b = g, g monic or zero.  Each remainder is
+    made monic before it divides: one inverse per step, not three."""
     if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise CtxMismatch("xgcd over different fields")
     ctx = a.ctx
@@ -345,14 +347,17 @@ def poly_xgcd(a, b):
     s0, s1 = Poly.one(ctx), Poly.zero(ctx)
     t0, t1 = Poly.zero(ctx), Poly.one(ctx)
     while not r1.is_zero():
+        if not r1.is_monic():
+            inv = r1.lc.inverse()
+            r1, s1, t1 = r1 * inv, s1 * inv, t1 * inv
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+    if r0.is_zero() or r0.is_monic():
         return r0, s0, t0
-    inv = r0.lc.inverse()
-    return r0.monic(), s0 * inv, t0 * inv
+    inv = r0.lc.inverse()  # b is zero, so a never divided
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 def poly_lcm(a, b):
@@ -751,15 +756,16 @@ def _factor_trager(f):
 
     Multiplication by x + s*y on L[x]/(f) is K-linear of size
     D = [L:K] deg f: in the basis x^j y^i (index j [L:K] + i) it is the
-    companion of f with each entry expanded into its multiplication block
-    over K, plus s (I (x) C_m).  Over the algebraic closure L[x]/(f)
-    splits into D lines, one per root alpha of m and root beta of f over
-    it, and x + s*y acts on each as beta + s*alpha.  1 has a nonzero part
-    on every line, so its Krylov chain has length D exactly when these
-    values are distinct, that is when the characteristic polynomial
-    N = Norm f(x - s*y) is squarefree.  Then each irreducible factor h of
-    N over K gives the irreducible factor gcd(f, h(x + s*y)) of f; a
-    tower over Q recurses through poly_factor over K.
+    matrix companion(f) + s*y*I over L with each entry c expanded into its
+    multiplication block over K, whose columns are c, c*y, ..., c*y^(k-1).
+    Over the algebraic closure L[x]/(f) splits into D lines, one per root
+    alpha of m and root beta of f over it, and x + s*y acts on each as
+    beta + s*alpha.  1 has a nonzero part on every line, so its Krylov
+    chain has length D exactly when these values are distinct, that is
+    when the characteristic polynomial N = Norm f(x - s*y) is squarefree.
+    Then each irreducible factor h of N over K gives the irreducible
+    factor gcd(f, h(x + s*y)) of f; a tower over Q recurses through
+    poly_factor over K.
     """
     if f.degree == 1:
         return [f]
@@ -769,32 +775,25 @@ def _factor_trager(f):
     # exactmat imports this module at its top level
     from .exactmat import Matrix, _coset_order, _unit_vec, companion
 
-    zero, y = L.zero.val, L.generator.val
-    mult = [[K.zero.val] * D for _ in range(D)]
-    for a, crow in enumerate(companion(f)._vals):
-        for b, c in enumerate(crow):
-            if c == zero:
-                continue
-            for col in range(b * k, b * k + k):  # c, c*y, ..., c*y^(k-1)
-                for i, v in enumerate(c):
-                    mult[a * k + i][col] = v
-                c = L._mul(c, y)
-    cm = companion(Poly(K, L.modulus_coeffs))._vals
-    add, mul = K._add, K._mul
+    zero, y = L.zero.val, L.generator
+    C, I = companion(f), Matrix.identity(L, f.degree)
     e0 = _unit_vec(K, D, 0)
     for s in range(1, 4 * D * D + 5):
-        sK = K.coerce(s).val
-        rows = [list(r) for r in mult]
-        for j, row in enumerate(rows):  # plus s (I (x) C_m)
-            at = j - j % k
-            for l, c in enumerate(cm[j % k]):
-                row[at + l] = add(row[at + l], mul(sK, c))
+        rows = [[K.zero.val] * D for _ in range(D)]
+        for a, crow in enumerate((C + I * (s * y))._vals):
+            for b, c in enumerate(crow):
+                if c == zero:
+                    continue
+                for col in range(b * k, b * k + k):  # c, c*y, ..., c*y^(k-1)
+                    for i, v in enumerate(c):
+                        rows[a * k + i][col] = v
+                    c = L._mul(c, y.val)
         N, chain = _coset_order(Matrix._from_vals(K, rows), e0, [])
         if len(chain) == D and poly_gcd(N, N.derivative()).degree == 0:
             break
     else:
         raise UnsupportedField("no squarefree shift found for the norm resultant")
-    x_plus_sy = Poly(L, [L.coerce(s) * L.generator, L.one])
+    x_plus_sy = Poly(L, [s * y, L.one])
     factors = [poly_gcd(f, poly_embed(h, L).compose(x_plus_sy)) for h, _ in poly_factor(N).factors]
     if math.prod(factors, start=Poly.one(L)) != f:
         raise VerificationError("norm factors do not multiply back to the input")

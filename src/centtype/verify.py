@@ -52,7 +52,7 @@ from .construct import (
     random_partition,
 )
 from .errors import ParseError, TooLarge, UnknownSuite
-from .exactfield import ExtensionField, make_field, prime_field, random_elem
+from .exactfield import ExtensionField, prime_field, random_elem
 from .exactmat import (
     block_diag,
     companion,
@@ -69,7 +69,7 @@ from .permcent import (
     _decide_an,
     _decide_sn,
 )
-from .serialize import matrix_to_json
+from .serialize import make_field, matrix_to_json
 from .typealg import (
     Partition,
     cent_dim_formula,

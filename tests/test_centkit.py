@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 
 import pytest
 
@@ -8,8 +9,10 @@ from centtype import (
     CtxMismatch,
     Matrix,
     NonSquarefreeDerivativeUnit,
+    NotSquare,
     Poly,
     SizeMismatch,
+    TooLarge,
     block_diag,
     cent_conjugate_bruteforce,
     cent_dim,
@@ -161,6 +164,9 @@ def test_cent_span_equal_basics():
     # image generates the same algebra
     X = companion(Poly(Q, [-2, 0, 1]))
     assert cent_span_equal(X, mat_eval_poly(Poly(Q, [0, -2]), X))
+    # different fields or shapes: never equal subspaces
+    assert not cent_span_equal(Matrix(F2, [[1]]), Matrix(F3, [[1]]))
+    assert not cent_span_equal(A, Matrix.identity(F3, 2))
 
 
 def test_jordan_chevalley_fixture():
@@ -482,3 +488,39 @@ def test_witness_conjugator_carries_p_of_x_onto_y():
     for X, Y in pairs:
         p, _, U = _witnesses(X, Y, 0)[2]
         assert U.inverse() * mat_eval_poly(p, X) * U == Y
+
+
+_RECT = Matrix(F5, [[1, 2, 3], [4, 5, 6]])
+_ONE2, _ONE3, _ONEQ = Matrix(F2, [[1]]), Matrix(F3, [[1]]), Matrix(Q, [[1]])
+_PAIR = "conjugacy needs square matrices of equal size"
+
+GUARDS = [
+    ("centralizer_basis non-square", lambda: centralizer_basis(_RECT), NotSquare, "2x3 matrix"),
+    ("jordan_chevalley non-square", lambda: jordan_chevalley(_RECT), NotSquare, "2x3 matrix"),
+    ("witnesses across fields", lambda: witness_polynomials(_ONE2, _ONE3),
+     CtxMismatch, "witnesses over different fields"),
+    ("witnesses across shapes", lambda: witness_polynomials(_ONE2, Matrix.identity(F2, 2)),
+     SizeMismatch, "witnesses need square matrices of equal size"),
+    ("witnesses non-square", lambda: witness_polynomials(_RECT, _RECT),
+     SizeMismatch, "witnesses need square matrices of equal size"),
+    ("conjugate across fields", lambda: centralizers_conjugate(_ONE2, _ONE3),
+     CtxMismatch, "conjugacy over different fields"),
+    ("conjugate across shapes", lambda: centralizers_conjugate(_ONEQ, Matrix.identity(Q, 2)),
+     SizeMismatch, _PAIR),
+    ("brute force across fields", lambda: cent_conjugate_bruteforce(_ONE2, _ONE3),
+     CtxMismatch, "conjugacy over different fields"),
+    ("brute force over Q", lambda: cent_conjugate_bruteforce(_ONEQ, _ONEQ),
+     TooLarge, "brute force runs over prime fields only"),
+    ("brute force over F9", lambda: cent_conjugate_bruteforce(Matrix(F9, [[1]]), Matrix(F9, [[1]])),
+     TooLarge, "brute force runs over prime fields only"),
+    ("brute force across shapes", lambda: cent_conjugate_bruteforce(_ONE2, Matrix.identity(F2, 2)),
+     SizeMismatch, _PAIR),
+    ("brute force past 2^25", lambda: cent_conjugate_bruteforce(*[Matrix.identity(F2, 6)] * 2),
+     TooLarge, "GL_6(F_2) enumeration is out of range"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

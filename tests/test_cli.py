@@ -396,6 +396,14 @@ FUZZ = [
      {"field": {"kind": "ext", "base": {"kind": "Fp", "p": 2}, "modulus": [1] * 601},
       "rows": [[1]]},
      "TooLarge"),
+    # refused by the absolute degree of the tower: building this
+    # irreducible top level over F4 took about 40 s
+    ("two-level tower over F2 past degree 256",
+     {"field": {"kind": "ext",
+                "base": {"kind": "ext", "base": {"kind": "Fp", "p": 2}, "modulus": [1, 1, 1]},
+                "modulus": [1] + [0] * 51 + [1] + [0] * 202 + [1]},
+      "rows": [[1]]},
+     "TooLarge"),
     # refused before any field is built: the squarefree split of this
     # modulus over Q takes minutes
     ("dense Q modulus of degree 512",

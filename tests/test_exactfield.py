@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,11 @@ from centtype import (
     DivisionByZero,
     ExtensionField,
     Matrix,
+    ParseError,
     Poly,
     ReducibleModulus,
     TooLarge,
+    UnsupportedField,
     elem_from_json,
     elem_to_json,
     extension_field,
@@ -189,6 +192,21 @@ def test_elem_json_roundtrip():
     L = extension_field(F3, Poly(F3, [1, 0, 1]))
     c = L.generator + L.one
     assert elem_from_json(L, elem_to_json(c)) == c
+
+
+def test_tower_inverse_xgcd_makes_two_inverses_per_level(monkeypatch):
+    # each remainder is made monic once, so an inverse at depth d costs
+    # about 2 d inverses in all, not 3^d
+    depth = 10
+    K = prime_field(3)
+    for _ in range(depth):
+        K = ExtensionField(K, [1, 1])
+    calls = []
+    inv = ExtensionField._inv
+    monkeypatch.setattr(ExtensionField, "_inv", lambda self, a: calls.append(a) or inv(self, a))
+    two = K.coerce(2)
+    assert (two.inverse() * two).is_one()
+    assert len(calls) <= 2 * depth
 
 
 def test_make_field():
@@ -380,3 +398,28 @@ def test_power_edge_cases():
     assert poly_pow_mod(f, 0, Poly.one(F5)) == Poly.zero(F5)
     with pytest.raises(ValueError):
         poly_pow_mod(f, -1, Poly(F5, [2, 0, 1]))
+
+
+_F9 = ExtensionField(prime_field(3), [1, 0, 1])
+_FLOAT = "floating point is not supported"
+
+GUARDS = [
+    ("non-monic modulus", lambda: ExtensionField(prime_field(3), [1, 2]),
+     ReducibleModulus, "modulus must be monic of degree >= 1"),
+    ("vector longer than the degree", lambda: _F9.coerce([1, 2, 0]),
+     TypeError, "vector longer than extension degree"),
+    ("JSON vector longer than the degree", lambda: elem_from_json(_F9, [1, 2, 0]),
+     ParseError, "vector longer than extension degree"),
+    ("float over Q", lambda: rationals().coerce(0.5), TypeError, _FLOAT),
+    ("float over F5", lambda: prime_field(5).coerce(0.5), TypeError, _FLOAT),
+    ("float over F9", lambda: _F9.coerce(0.5), TypeError, _FLOAT),
+    ("bool over F9", lambda: _F9.coerce(True), TypeError, "bool is not a field value"),
+    ("elements of an infinite field", lambda: list(ExtensionField(rationals(), [-2, 0, 1]).elements()),
+     UnsupportedField, "cannot enumerate an infinite field"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -2,6 +2,7 @@ import collections
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -712,3 +713,31 @@ def test_image_invariant_factors_match_the_form_of_h_of_a():
                     split += len(got) > 1
                     assert got == image
     assert read >= 60 and short >= 50 and split >= 10
+
+
+_M2, _M3 = Matrix.identity(F5, 2), Matrix.identity(F5, 3)
+_N1 = Matrix(F3, [[1]])
+
+GUARDS = [
+    ("sum across shapes", lambda: _M2 + _M3, SizeMismatch, "sum of (2, 2) and (3, 3) matrices"),
+    ("sum across fields", lambda: Matrix(F5, [[1]]) + _N1,
+     SizeMismatch, "sum of (1, 1) and (1, 1) matrices"),
+    ("product across shapes", lambda: _M2 * _M3, SizeMismatch, "product of (2, 2) and (3, 3)"),
+    ("product across fields", lambda: Matrix(F5, [[1]]) * _N1,
+     SizeMismatch, "product over different fields"),
+    ("solve with a short right-hand side", lambda: _M2.solve_right([1]),
+     SizeMismatch, "rhs of length 1 for (2, 2)"),
+    ("block_diag of nothing", lambda: block_diag([]), SizeMismatch, "no blocks"),
+    ("block_diag across fields", lambda: block_diag([_M2, _N1]),
+     SizeMismatch, "blocks over different fields"),
+    ("evaluate across fields", lambda: mat_eval_poly(Poly(F3, [1, 1]), _M2),
+     SizeMismatch, "polynomial and matrix over different fields"),
+    ("restrict to a non-invariant line", lambda: restrict_to_basis(Matrix(F5, [[0, 1], [1, 0]]), [[1, 0]]),
+     SizeMismatch, "subspace is not invariant under the matrix"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

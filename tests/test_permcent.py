@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -475,3 +476,20 @@ def test_images_are_integers_not_truncated():
     assert str(info.value) == "bad image None"
     g = Permutation([True, 2])
     assert g.images == (1, 2) and all(type(v) is int for v in g.images)
+
+
+def test_an_cent_equal_on_unequal_degrees():
+    rep = an_cent_equal(P("(1 2 3)"), P("(1 2 3)", n=4))
+    assert (rep.equal, rep.kind, rep.details) == (False, "not-equal", {"reason": "degrees differ"})
+
+
+GUARDS = [
+    ("brute force over an unknown group", lambda: perm_centralizer_bruteforce(P("(1 2)"), "X"),
+     ParseError, "group must be 'S' or 'A'"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

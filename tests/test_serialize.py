@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,11 @@ from centtype import (
     Poly,
     ReducibleModulus,
     TooLarge,
+    UnsupportedField,
     cycle_type,
     companion,
+    field_from_descriptor,
+    make_field,
     prime_field,
     rationals,
 )
@@ -141,3 +145,63 @@ def test_field_descriptor_caps():
         matrix_from_json(_over_f2(top))
     with pytest.raises(TooLarge):
         matrix_from_json(_over_f2([0] + top, [1, 1]))
+
+
+def test_descriptor_caps_hold_for_library_callers():
+    """make_field and field_from_descriptor read a descriptor in the same
+    walk as matrix_from_json, so every cap holds for them too."""
+    deep = {"kind": "Fp", "p": 3}
+    for _ in range(9):
+        deep = {"kind": "ext", "base": deep, "modulus": [1, 1]}
+    wide_q = {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2] + [0] * 24 + [1]}
+    for build in (make_field, field_from_descriptor):
+        with pytest.raises(TooLarge):
+            build(deep)
+        with pytest.raises(UnsupportedField):
+            build(wide_q)
+        with pytest.raises(TooLarge):
+            build(_over_f2([1] * (MAX_INPUT_DEGREE + 2))["field"])
+
+
+def test_descriptor_caps_a_tower_over_fp_by_its_degree():
+    """Two or more levels over F_p are capped at absolute degree 256; one
+    level keeps the MAX_INPUT_DEGREE cap."""
+    trinomial = [1] + [0] * 51 + [1] + [0] * 202 + [1]  # x^255 + x^52 + 1
+    with pytest.raises(TooLarge, match="degree 510 exceeds the cap 256"):
+        field_from_descriptor(_over_f2([1, 1, 1], trinomial)["field"])
+    with pytest.raises(TooLarge):
+        field_from_descriptor(_over_f2([1, 1, 1], [1, 1], [1] * 130)["field"])
+    # at the caps the walk goes on to build, and meets the bad coefficient
+    bad = ["a"] + [0] * 15 + [1]
+    for moduli in ((bad, bad), (bad, [1, 1], [1] * 17), (["a"] + [0] * 510 + [1],)):
+        with pytest.raises(ParseError, match="bad residue 'a'"):
+            field_from_descriptor(_over_f2(*moduli)["field"])
+
+
+GUARDS = [
+    ("empty polynomial text", lambda: parse_poly_text(Q, "  "), ParseError, "empty polynomial text"),
+    ("bad polynomial term", lambda: parse_poly_text(Q, "x^2 + y"),
+     ParseError, "bad polynomial term 'y' in 'x^2 + y'"),
+    ("polynomial neither text nor array", lambda: poly_from_json(Q, 5),
+     ParseError, "polynomial must be a coefficient array or text, got 5"),
+    ("matrix without a field", lambda: matrix_from_json({"rows": [[1]]}),
+     ParseError, "matrix JSON must be an object with a 'field' key"),
+    ("partition not an array", lambda: partition_from_json(3),
+     ParseError, "partition must be an array of parts"),
+    ("field spec of another type", lambda: make_field(3), ParseError, "unrecognized field spec 3"),
+    ("field spec text", lambda: make_field("GF4"), ParseError, "unrecognized field spec 'GF4'"),
+    ("descriptor not an object", lambda: field_from_descriptor(None),
+     ParseError, "bad field descriptor None"),
+    ("descriptor prime as text", lambda: field_from_descriptor({"kind": "Fp", "p": "5"}),
+     ParseError, "bad prime in descriptor {'kind': 'Fp', 'p': '5'}"),
+    ("descriptor of an unknown kind", lambda: field_from_descriptor({"kind": "Z"}),
+     ParseError, "unknown field kind 'Z'"),
+    ("descriptor with a short modulus", lambda: field_from_descriptor(_over_f2([1])["field"]),
+     ParseError, "bad extension modulus [1]"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,12 +1,16 @@
 import random
+import re
 
 import pytest
 
 from centtype import (
+    CtxMismatch,
     CycleType,
+    Matrix,
     NotIrreducible,
     Partition,
     Poly,
+    SizeMismatch,
     cent_dim_weight,
     companion,
     block_diag,
@@ -15,7 +19,6 @@ from centtype import (
     extension_field,
     frobenius_form,
     generalized_type,
-    gentype_equal,
     gentype_matching,
     green_type,
     mat_eval_poly,
@@ -41,6 +44,7 @@ F5 = prime_field(5)
 
 
 def test_partition_normalization():
+    assert Partition(()).conjugate() == Partition(())
     lam = Partition([1, 3, 2])
     assert lam.parts == (3, 2, 1)
     assert lam.size == 6
@@ -145,7 +149,7 @@ def test_green_type_collapses_over_finite_fields():
     B = companion(g)
     assert cycle_type(A) != cycle_type(B)
     assert green_type(A) == green_type(B)
-    assert gentype_equal(generalized_type(A), generalized_type(B))
+    assert generalized_type(A) == generalized_type(B)
 
 
 def test_generalized_type_finer_over_q():
@@ -153,8 +157,12 @@ def test_generalized_type_finer_over_q():
     B = companion(Poly(Q, [-3, 0, 1]))
     C = companion(Poly(Q, [-8, 0, 1]))
     assert green_type(A) == green_type(B)
-    assert not gentype_equal(generalized_type(A), generalized_type(B))
-    assert gentype_equal(generalized_type(A), generalized_type(C))
+    assert generalized_type(A) != generalized_type(B)
+    assert generalized_type(A) == generalized_type(C)
+    # equal types with different representatives hash alike
+    assert hash(generalized_type(A)) == hash(generalized_type(C))
+    # types over different fields are unequal, not an error
+    assert generalized_type(Matrix(F2, [[1]])) != generalized_type(Matrix(F3, [[1]]))
 
 
 def test_poly_equivalent_over_finite():
@@ -321,3 +329,25 @@ def test_cycle_type_matches_factoring_every_invariant_factor():
         for n in (1, 3, 5):
             X = random_matrix(ctx, n, rng, bound=3)
             assert cycle_type(X).entries == _cycle_type_reference(X).entries
+
+
+_GT2, _GT3 = generalized_type(Matrix(F2, [[1]])), generalized_type(Matrix(F3, [[1]]))
+
+GUARDS = [
+    ("matching cycle types", lambda: gentype_matching(cycle_type(Matrix(F2, [[1]])), _GT2),
+     SizeMismatch, "matching needs two generalized types"),
+    ("matching across fields", lambda: gentype_matching(_GT2, _GT3),
+     CtxMismatch, "matching over different fields"),
+    ("equivalence across fields", lambda: poly_equivalent(Poly(F2, [1, 1]), Poly(F3, [1, 1])),
+     CtxMismatch, "equivalence over different fields"),
+    ("negative replication", lambda: Partition([2, 1]).replicate(-1),
+     ValueError, "negative replication"),
+    ("partitions of a negative weight", lambda: list(partitions_of(-1)),
+     ValueError, "negative weight"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

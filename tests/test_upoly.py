@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from centtype import (
     DivisionByZero,
     ExtensionField,
     Matrix,
+    NonCoprimeModuli,
+    NotAnExtension,
     Poly,
     ReducibleModulus,
     UnsupportedField,
@@ -114,6 +117,45 @@ def test_gcd_xgcd():
             assert u * a + v * b == g
     # gcd of coprime quadratics
     assert poly_gcd(Poly(Q, [-2, 0, 1]), Poly(Q, [-3, 0, 1])) == Poly(Q, [1])
+
+
+def _xgcd_normalised_at_the_end(a, b):
+    """The extended Euclidean loop that divides by each remainder as it
+    comes and makes only the last one monic."""
+    ctx = a.ctx
+    r0, r1 = a, b
+    s0, s1 = Poly.one(ctx), Poly.zero(ctx)
+    t0, t1 = Poly.zero(ctx), Poly.one(ctx)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    inv = r0.lc.inverse()
+    return r0.monic(), s0 * inv, t0 * inv
+
+
+def test_xgcd_matches_the_loop_that_normalises_at_the_end():
+    # the Bezout pair of the monic gcd is unique within the degree bounds
+    # both loops keep, so monic remainders change no output
+    rng = random.Random(23)
+    F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
+    Qr2 = extension_field(Q, Poly(Q, [-2, 0, 1]))
+
+    def draw(ctx, top):
+        return Poly(ctx, [random_elem(ctx, rng, 3) for _ in range(rng.randrange(top))])
+
+    for ctx in (F2, F3, F5, Q, F9, Qr2):
+        for _ in range(150):
+            a, b = draw(ctx, 7), draw(ctx, 7)
+            if rng.random() < 0.3:  # a shared factor
+                c = draw(ctx, 4)
+                a, b = a * c, b * c
+            g, s, t = poly_xgcd(a, b)
+            assert (g, s, t) == _xgcd_normalised_at_the_end(a, b), (str(a), str(b))
+            assert s * a + t * b == g
 
 
 def test_lcm():
@@ -632,3 +674,39 @@ def test_context_checks_accept_equal_contexts_and_keep_their_messages():
         with pytest.raises(CtxMismatch) as info:
             call()
         assert str(info.value) == message
+
+
+_X, _ZQ = Poly(Q, [0, 1]), Poly.zero(Q)
+_QR2 = ExtensionField(Q, [-2, 0, 1])
+
+GUARDS = [
+    ("lc of zero", lambda: _ZQ.lc, ZeroPolynomial, "zero polynomial has no leading coefficient"),
+    ("monic zero", lambda: _ZQ.monic(), ZeroPolynomial, "cannot normalize the zero polynomial"),
+    ("embed into a prime field", lambda: poly_embed(_X, F5),
+     NotAnExtension, "target is not an extension of the coefficient field"),
+    ("compose modulo zero", lambda: poly_compose_mod(_X, _X, _ZQ),
+     DivisionByZero, "composition modulo zero"),
+    ("crt of mismatched lists", lambda: poly_crt([_X], [_X, _X + 1]),
+     ValueError, "need matching nonempty residue/modulus lists"),
+    ("crt of empty lists", lambda: poly_crt([], []),
+     ValueError, "need matching nonempty residue/modulus lists"),
+    ("crt of moduli sharing a factor", lambda: poly_crt([_X, _X], [_X * _X - 1, _X - 1]),
+     NonCoprimeModuli, "moduli share the factor x - 1"),
+    ("squarefree split of zero", lambda: squarefree_decomposition(_ZQ),
+     ZeroPolynomial, "squarefree decomposition of zero"),
+    ("factor zero", lambda: poly_factor(_ZQ), ZeroPolynomial, "cannot factor the zero polynomial"),
+    ("irreducible zero", lambda: is_irreducible(_ZQ),
+     ZeroPolynomial, "irreducibility of zero is undefined"),
+    ("roots outside an extension", lambda: poly_roots_in_ext(_X, Q),
+     NotAnExtension, "root search needs an extension field"),
+    ("roots over the wrong base", lambda: poly_roots_in_ext(Poly(F5, [0, 1]), _QR2),
+     CtxMismatch, "polynomial is not over the base of the extension"),
+    ("roots of zero", lambda: poly_roots_in_ext(_ZQ, _QR2),
+     ZeroPolynomial, "every element is a root of zero"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_public_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
