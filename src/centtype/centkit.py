@@ -8,15 +8,14 @@ here returns checkable objects:
   * `centralizer_basis` solves the commutant equation XB = BX exactly,
     as the kernel of its n^2 x n^2 Sylvester matrix, independently of
     the Frobenius form;
-  * `witness_polynomials` produces p, q with p(X) similar to Y and q(Y)
-    similar to X whenever the generalized types agree;
-  * `centralizers_conjugate` turns the witness into an explicit
-    conjugator U and proves the span identity U^-1 Cent(X) U = Cent(Y)
-    from U^-1 p(X) U = Y plus equal Sylvester-kernel dimensions: every B
-    commuting with X commutes with p(X), so U^-1 B U commutes with Y and
-    U^-1 Cent(X) U lies in Cent(Y); conjugation is injective, so equal
-    dimensions make the two equal.  Both share one pipeline that forms
-    each of X, Y and p(X) in Frobenius form once;
+  * `witness_polynomials` produces p, q with p(X) similar to Y and
+    q(p(X)) = X whenever the generalized types agree;
+  * `centralizers_conjugate` turns the witness into a conjugator U with
+    U^-1 p(X) U = Y and X U = U q(Y), and proves U^-1 Cent(X) U = Cent(Y)
+    from the first plus equal Sylvester-kernel dimensions: every B
+    commuting with X commutes with p(X), so U^-1 B U commutes with Y;
+    conjugation is injective, so equal dimensions make the two equal.
+    Both share one pipeline that forms X, Y and p(X) in Frobenius form once;
   * `cent_conjugate_bruteforce` is an independent oracle that searches
     all of GL_n(F_p) for a conjugator, for small instances.
 
@@ -28,7 +27,12 @@ or f does not divide r'.  Otherwise Newton's iteration lifts the root x
 of f to the root sigma of f modulo f^max(lambda) (unique by Hensel's
 lemma), so sigma(S + N) = S and p = r o sigma + x - sigma evaluates to
 r(S) + N, which lands in class g^lambda.  Components are glued by the
-Chinese Remainder Theorem, and only the glued p and q are checked.
+Chinese Remainder Theorem.  q is p's inverse under composition modulo
+the minimal polynomial of X: Cent(X) lies in Cent(p(X)), and both have
+the dimension of Cent(Y), as the types are equal; so they are equal, and
+so are their centralizers K[X] and K[p(X)].  So x is a polynomial q in
+p, found by one linear solve, and q(Y) = U^-1 q(p(X)) U = U^-1 X U; the
+products alone thus give U^-1 Cent(X) U = Cent(Y).
 """
 
 from __future__ import annotations
@@ -50,13 +54,12 @@ from .exactfield import PrimeField, prime_field
 from .exactmat import (
     Matrix,
     _form_conjugator,
-    _image_invariant_factors,
     frobenius_form,
     mat_eval_poly,
     minpoly,
     restrict_to_basis,
 )
-from .typealg import cycle_type, gentype_matching
+from .typealg import _compose_inverse, cycle_type, gentype_matching
 from .upoly import Poly, poly_compose_mod, poly_crt, poly_gcd, poly_xgcd, squarefree_part
 
 
@@ -243,17 +246,13 @@ def _glue_direction(match):
     return poly_crt(residues, moduli)
 
 
-def _reverse_match(match):
-    return tuple((eb, ea, (rs[1], rs[0])) for ea, eb, rs in match)
-
-
 def _witnesses(X, Y, seed):
     """The pipeline of `witness_polynomials` and `centralizers_conjugate`:
     (generalized types of X and Y, (p, q, U) or None when they differ),
-    with U^-1 p(X) U = Y and q(Y) similar to X.  Each distinct matrix met
-    in the call (X, Y, p(X)) is put into Frobenius form once.  q(Y) is
-    never formed: its invariant factors are read off the form of Y, one
-    Krylov chain of q per companion block, and must equal those of X."""
+    with U^-1 p(X) U = Y and X U = U q(Y).  Each distinct matrix met in
+    the call (X, Y, p(X)) is put into Frobenius form once.  Equal types
+    force K[p(X)] = K[X], so a q that is None or fails the product is a
+    bug, and raises."""
     form = lru_cache(maxsize=None)(frobenius_form)
     gta = cycle_type(form(X), seed=seed).generalized()
     gtb = cycle_type(form(Y), seed=seed).generalized()
@@ -261,22 +260,23 @@ def _witnesses(X, Y, seed):
     if match is None:
         return gta, gtb, None
     p = _glue_direction(match)
-    q = _glue_direction(_reverse_match(match))
     pX = mat_eval_poly(p, X)
     U = _form_conjugator(pX, form(pX), Y, form(Y))
     if U is None:
         raise VerificationError("p(X) is not similar to Y")
-    if _image_invariant_factors(q, form(Y).invariant_factors) != form(X).invariant_factors:
+    q = _compose_inverse(p, form(X).invariant_factors[-1])
+    if q is None or X * U != U * mat_eval_poly(q, Y):
         raise VerificationError("q(Y) is not similar to X")
     return gta, gtb, (p, q, U)
 
 
 def witness_polynomials(X, Y, seed=0):
-    """(p, q) with p(X) similar to Y and q(Y) similar to X, or None.
+    """(p, q) with p(X) similar to Y and q(p(X)) = X, or None.
 
-    Exists exactly when X and Y have the same generalized type.  Both
-    directions are verified against the invariant factors before
-    returning; a failed verification raises VerificationError.
+    Exists exactly when X and Y have the same generalized type.  q is p's
+    inverse under composition modulo the minimal polynomial of X.  Both
+    directions are verified by matrix products through one conjugator
+    before returning; a failed verification raises VerificationError.
     """
     if X.ctx != Y.ctx:
         raise CtxMismatch("witnesses over different fields")
@@ -293,14 +293,13 @@ def witness_polynomials(X, Y, seed=0):
 class ConjugacyCertificate:
     """Decision with evidence.
 
-    When conjugate: p(X) is similar to Y via the conjugator U (that is,
-    U^-1 p(X) U = Y), q(Y) is similar to X, and U^-1 Cent(X) U equals
-    Cent(Y).  The span identity is proved before the certificate is
-    issued, from U^-1 p(X) U = Y plus equal Sylvester-kernel dimensions:
-    B commuting with X commutes with p(X), so U^-1 B U lies in Cent(Y);
-    conjugation is injective, so equal dimensions give equality.  When
-    not conjugate, the two generalized types differ and the witness
-    fields are None.
+    When conjugate: U is invertible with p(X) U = U Y and X U = U q(Y).
+    q is p's inverse under composition modulo the minimal polynomial of
+    X, so X and p(X) are polynomials in each other, and these products
+    alone show U^-1 Cent(X) U = Cent(Y).  Before the certificate is
+    issued, the span identity is also proved from equal Sylvester-kernel
+    dimensions (see the module docstring).  When not conjugate, the two
+    generalized types differ and the witness fields are None.
     """
 
     conjugate: bool

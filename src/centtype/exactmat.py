@@ -495,28 +495,6 @@ def _coset_order(A, u, seeds):
         k += 1
 
 
-def _image_invariant_factors(h, factors):
-    """Invariant factors of h(A), given the invariant factors
-    e_1 | ... | e_k of A, or None when K[h(A)] != K[A].
-
-    h(A) is similar to the direct sum of the h(C(e_i)).  The Krylov chain
-    of 1 under multiplication by h on K[x]/(e) has order g, the minimal
-    polynomial of h mod e; when the chain has length deg e, h(C(e)) is
-    cyclic and similar to C(g).  The g_i divide one another as the e_i
-    do, because K[x]/(e_k) maps onto each K[x]/(e_i), and by the same map
-    a short chain in any block forces a short chain in the top block.  So
-    None means deg minpoly(h(A)) < deg minpoly(A).
-    """
-    out = []
-    for e in reversed(factors):
-        hC = mat_eval_poly(h % e, companion(e))
-        g, chain = _coset_order(hC, _unit_vec(e.ctx, e.degree, 0), [])
-        if len(chain) != e.degree:
-            return None
-        out.append(g)
-    return tuple(reversed(out))
-
-
 def _lcm_coprime_split(f, g):
     """(f1, g1) coprime with f1 | f, g1 | g and f1 * g1 = lcm(f, g)."""
     d = poly_gcd(f, g)

@@ -18,7 +18,8 @@ partition and head, the head an irreducible or, in a Green type, a degree.
 `poly_equivalent` does not just decide the relation: it returns a
 matched pair (r, s) with r mapping the distinguished root of f to a
 root of g and s inverting it on that root, so s(r(x)) = x mod f.  The
-witness constructions downstream rely on that inverse pairing.
+witness construction downstream builds p from r, and finds its inverse
+q as s is found, by `_compose_inverse`.
 """
 
 from __future__ import annotations
@@ -254,6 +255,19 @@ def _irreducible_or_raise(f):
     return True
 
 
+def _compose_inverse(p, m):
+    """The q of degree < deg m with q(p) = x mod m, or None when 1, p, ...,
+    p^(d-1) mod m do not span K[x]/(m): their span is K[p mod m]."""
+    K, d = m.ctx, m.degree
+    pad = lambda h: list(h.coeffs) + [K.zero] * (d - 1 - h.degree)
+    cols, acc = [], Poly.one(K)
+    for _ in range(d):
+        cols.append(pad(acc))
+        acc = acc * p % m
+    sol = Matrix.from_columns(K, cols).solve_right(pad(Poly.x(K) % m))
+    return None if sol is None else Poly(K, sol)
+
+
 @lru_cache(maxsize=4096)
 def _poly_equivalent_cached(f, g):
     if f.degree != g.degree:
@@ -265,19 +279,10 @@ def _poly_equivalent_cached(f, g):
     roots = poly_roots_in_ext(g, L)
     if not roots:
         return None
-    beta, r = roots[0]
-    d = f.degree
-    K = f.ctx
-    powers = []
-    acc = L.one
-    for _ in range(d):
-        powers.append(tuple(acc.val))
-        acc = acc * beta
-    B = Matrix.from_columns(K, powers)
-    svec = B.solve_right(L.generator.val)
-    if svec is None:
+    r = roots[0][1]
+    s = _compose_inverse(r, f)
+    if s is None:
         raise VerificationError("powers of a generating root failed to span")
-    s = Poly(K, svec)
     if not poly_compose_mod(g, r, f).is_zero():
         raise VerificationError("claimed root is not a root")
     if not poly_compose_mod(f, s, g).is_zero():

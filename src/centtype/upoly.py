@@ -529,10 +529,19 @@ def poly_factor(a, seed=0):
 
 
 def is_irreducible(f, seed=0):
+    """Over a finite field: f is squarefree and the distinct-degree split
+    finds no factor below deg f, which its first pair shows, since a
+    reducible f has a factor of degree at most deg f / 2.  Elsewhere the
+    answer comes from `poly_factor`, which takes the seed."""
     if f.is_zero():
         raise ZeroPolynomial("irreducibility of zero is undefined")
     if f.degree < 1:
         return False
+    if f.ctx.is_finite():
+        f = f.monic()
+        if poly_gcd(f, f.derivative()).degree != 0:
+            return False
+        return next(_distinct_degree(f))[1] == f.degree
     fact = poly_factor(f, seed=seed)
     return len(fact.factors) == 1 and fact.factors[0][1] == 1
 
@@ -549,10 +558,10 @@ def _factor_squarefree_finite(f, rng):
 
 
 def _distinct_degree(f):
-    """[(product of irreducible factors of degree k, k)] for squarefree f."""
+    """Yield (product of the irreducible factors of degree k, k) for a
+    squarefree monic f, in increasing k."""
     ctx = f.ctx
     q = ctx.order()
-    out = []
     h = Poly.x(ctx)
     fstar = f
     k = 0
@@ -561,12 +570,11 @@ def _distinct_degree(f):
         h = poly_pow_mod(h, q, fstar)
         g = poly_gcd(h - Poly.x(ctx), fstar)
         if g.degree >= 1:
-            out.append((g, k))
+            yield g, k
             fstar = fstar // g
             h = h % fstar
     if fstar.degree >= 1:
-        out.append((fstar, fstar.degree))
-    return out
+        yield fstar, fstar.degree
 
 
 def _random_poly_below(ctx, n, rng):

@@ -432,20 +432,15 @@ def test_wrong_q_is_caught(monkeypatch, wrong):
     import centtype.centkit
     from centtype import VerificationError
 
-    glue = centtype.centkit._glue_direction
-    calls = []
+    inverse = centtype.centkit._compose_inverse
 
-    def mutated(match):
-        h = glue(match)
-        calls.append(h)
-        if len(calls) % 2:
-            return h
-        # the second call in a query builds q
-        return Poly(h.ctx, [2]) if wrong == "constant" else h + Poly.one(h.ctx)
+    def mutated(p, m):
+        q = inverse(p, m)
+        return Poly(q.ctx, [2]) if wrong == "constant" else q + Poly.one(q.ctx)
 
     pairs = [(X, Y) for X, Y in _positive_pairs() if witness_polynomials(X, Y) is not None]
     assert len(pairs) == 5
-    monkeypatch.setattr(centtype.centkit, "_glue_direction", mutated)
+    monkeypatch.setattr(centtype.centkit, "_compose_inverse", mutated)
     for X, Y in pairs:
         with pytest.raises(VerificationError, match=r"q\(Y\) is not similar to X"):
             centralizers_conjugate(X, Y)

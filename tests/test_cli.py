@@ -441,6 +441,9 @@ GOLDEN_CASES = [
     # f ~ g for distinct irreducible quadratics over F9 runs root finding
     # in the tower F9[y]/(f)
     ("centconj_f9", ["centconj", "f9_x.json", "f9_y.json"], 0),
+    # companions of (x^3 + 2x + 1)^3 and (x^3 + 2x^2 + 1)^3: p = r, and q is
+    # p's inverse modulo the minimal polynomial, not merely modulo f
+    ("centconj_f3", ["centconj", "f3_x.json", "f3_y.json"], 0),
 ]
 
 

@@ -684,37 +684,6 @@ def test_form_conjugator_check_catches_a_wrong_basis():
         _form_conjugator(A, replace(fa, basis=Matrix.identity(F5, 4)), B, fb)
 
 
-def test_image_invariant_factors_match_the_form_of_h_of_a():
-    """Factors read off A's form equal those of h(A)'s own form; None
-    comes only with a smaller minimal polynomial for h(A)."""
-    from centtype.exactmat import _image_invariant_factors
-
-    rng = random.Random(91)
-    read = short = split = 0
-    for ctx in (F2, F3, F5, F9, Q):
-        x = Poly.x(ctx)
-        mats = [random_matrix(ctx, n, rng, bound=3) for n in (1, 2, 3, 4, 5)]
-        for parts in ((1, 1), (2, 1), (2, 2, 1), (3, 1)):
-            c = random_elem(ctx, rng, bound=3)
-            M = block_diag([companion((x - c) ** a * (x**2 + 1)) for a in parts])
-            U = random_invertible(ctx, M.nrows, rng, bound=2)
-            mats.append(U.inverse() * M * U)
-        for A in mats:
-            factors = frobenius_form(A).invariant_factors
-            coeffs = [random_elem(ctx, rng, bound=3) for _ in range(rng.randrange(1, A.nrows + 3))]
-            for h in (Poly(ctx, coeffs), x * 2 + 1, Poly(ctx, [3])):
-                got = _image_invariant_factors(h, factors)
-                image = frobenius_form(mat_eval_poly(h, A)).invariant_factors
-                if got is None:
-                    short += 1
-                    assert image[-1].degree < factors[-1].degree
-                else:
-                    read += 1
-                    split += len(got) > 1
-                    assert got == image
-    assert read >= 60 and short >= 50 and split >= 10
-
-
 _M2, _M3 = Matrix.identity(F5, 2), Matrix.identity(F5, 3)
 _N1 = Matrix(F3, [[1]])
 

@@ -6,6 +6,7 @@ import pytest
 from centtype import (
     CtxMismatch,
     CycleType,
+    ExtensionField,
     Matrix,
     NotIrreducible,
     Partition,
@@ -26,16 +27,19 @@ from centtype import (
     poly_compose_mod,
     poly_equivalent,
     poly_factor,
+    poly_roots_in_ext,
     primary_decomposition,
     prime_field,
     rationals,
 )
 from centtype.construct import (
+    equivalent_pair,
     random_invertible,
     random_irreducible,
     random_matrix,
     random_partition,
 )
+from centtype.exactfield import random_elem
 
 Q = rationals()
 F2 = prime_field(2)
@@ -247,6 +251,86 @@ def test_numberfield_cycle_type():
         ("x^2 + (0, 1)", (1,)),
     ]
     assert [f for f, _ in t.entries] == [Poly(K, [-y, 0, 1]), Poly(K, [y, 0, 1])]
+
+
+def _random_poly(ctx, d, rng, monic=False):
+    coeffs = [random_elem(ctx, rng, bound=3) for _ in range(d)]
+    return Poly(ctx, coeffs + [ctx.one if monic else random_elem(ctx, rng, bound=3)])
+
+
+def test_compose_inverse_inverts_p_modulo_m():
+    """q(p) = x mod m with deg q < deg m; None exactly when the powers of p
+    mod m have rank below deg m, and always for a constant p."""
+    from centtype.typealg import _compose_inverse
+
+    rng = random.Random(71)
+    F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
+    found = missing = 0
+    for ctx in (F2, F3, F5, Q, F9):
+        x = Poly.x(ctx)
+        for _ in range(30):
+            d = rng.randint(1, 6)
+            m = _random_poly(ctx, d, rng, monic=True)
+            if rng.random() < 0.3:
+                m = _random_poly(ctx, rng.randint(1, 2), rng, monic=True) ** rng.randint(2, 3)
+            p = _random_poly(ctx, rng.randint(0, m.degree + 2), rng)
+            powers = [(p**i % m).coeffs for i in range(m.degree)]
+            cols = [list(c) + [ctx.zero] * (m.degree - len(c)) for c in powers]
+            spans = Matrix.from_columns(ctx, cols).rank() == m.degree
+            q = _compose_inverse(p, m)
+            if q is None:
+                missing += 1
+                assert not spans
+            else:
+                found += 1
+                assert spans
+                assert q.degree < m.degree
+                assert poly_compose_mod(q, p, m) == x % m
+            if m.degree >= 2:
+                assert _compose_inverse(Poly(ctx, [random_elem(ctx, rng)]), m) is None
+    assert found >= 60 and missing >= 10
+
+
+def _powers_of_beta_pair(f, g):
+    """(r, s) as the powers-of-beta solve in L = K[x]/(f) finds them, or
+    None: the construction `poly_equivalent` used before `_compose_inverse`."""
+    if f == g:
+        return (Poly.x(f.ctx),) * 2
+    L = ExtensionField(f.ctx, f.coeffs)
+    roots = poly_roots_in_ext(g, L)
+    if not roots:
+        return None
+    beta, r = roots[0]
+    powers, acc = [], L.one
+    for _ in range(f.degree):
+        powers.append(tuple(acc.val))
+        acc = acc * beta
+    svec = Matrix.from_columns(f.ctx, powers).solve_right(L.generator.val)
+    return (r, Poly(f.ctx, svec))
+
+
+def test_poly_equivalent_pairs_equal_the_powers_of_beta_solve():
+    rng = random.Random(83)
+    F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
+    K = extension_field(Q, Poly(Q, [-2, 0, 1]))
+    pairs = []
+    for ctx, count in ((F2, 40), (F3, 40), (F5, 40), (F9, 30)):
+        for _ in range(count):
+            d = rng.randint(1, 3)
+            pairs.append((random_irreducible(ctx, d, rng), random_irreducible(ctx, d, rng)))
+    pairs += [equivalent_pair(Q, rng) for _ in range(30)]
+    y, x = K.generator, Poly.x(K)
+    for f in (Poly(K, [-3, 0, 1]), Poly(K, [-y, 0, 1]), Poly(K, [-2, 0, 0, 1]), Poly(K, [1, 0, 1])):
+        for a, b in ((1, 1), (2, 0), (1, y), (3, -y), (y, 2)):
+            shifted = f.compose(x * a + Poly(K, [b]))
+            pairs.append((f, shifted.monic()))
+    pairs += [(Poly(K, [-3, 0, 1]), Poly(K, [-5, 0, 1])), (Poly(Q, [-2, 0, 1]), Poly(Q, [-3, 0, 1]))]
+    matched = 0
+    for f, g in pairs:
+        got = poly_equivalent(f, g)
+        assert got == _powers_of_beta_pair(f, g)
+        matched += got is not None
+    assert len(pairs) >= 200 and matched >= 190
 
 
 def test_poly_equivalent_rejects_reducible():

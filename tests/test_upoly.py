@@ -36,6 +36,7 @@ from centtype import (
     squarefree_part,
 )
 from centtype import exactmat
+from centtype.construct import random_monic
 from centtype.exactfield import random_elem
 from centtype.exactmat import _coset_order, _unit_vec
 
@@ -342,6 +343,51 @@ def test_is_irreducible_fixtures():
     assert not is_irreducible(Poly(F2, [1, 0, 1]))
     assert is_irreducible(Poly(F3, [1, 0, 1]))
     assert not is_irreducible(Poly(F5, [1, 0, 1]))  # x^2+1 = (x+2)(x+3) mod 5
+
+
+def _factored_irreducible(f, seed):
+    fact = poly_factor(f, seed=seed)
+    return len(fact.factors) == 1 and fact.factors[0][1] == 1
+
+
+def test_is_irreducible_agrees_with_poly_factor_over_finite_fields():
+    """The distinct-degree shortcut gives `poly_factor`'s verdict on random
+    polynomials, on squares and on p-th powers (f' = 0)."""
+    rng = random.Random(29)
+    F4 = extension_field(F2, Poly(F2, [1, 1, 1]))
+    F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
+    verdicts = []
+    for ctx, p in ((F2, 2), (F3, 3), (F5, 5), (F4, 2), (F9, 3)):
+        cases = [random_monic(ctx, rng.randrange(1, 31), rng) for _ in range(24)]
+        cases += [random_monic(ctx, rng.randrange(1, 4), rng) for _ in range(16)]
+        cases += [random_monic(ctx, rng.randrange(1, 8), rng) ** 2 for _ in range(3)]
+        cases += [random_monic(ctx, rng.randrange(1, 31 // p), rng) ** p for _ in range(3)]
+        for f in cases:
+            seed = rng.getrandbits(32)
+            got = is_irreducible(f, seed=seed)
+            assert got == _factored_irreducible(f, seed), f
+            verdicts.append(got)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 100
+
+
+def test_is_irreducible_stops_at_the_first_distinct_degree_factor(monkeypatch):
+    import centtype.upoly
+
+    rng = random.Random(47)
+    F4 = extension_field(F2, Poly(F2, [1, 1, 1]))
+    while True:
+        f = random_monic(F4, 1, rng) * random_monic(F4, 47, rng)
+        if poly_gcd(f, f.derivative()).degree == 0:
+            break
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return poly_pow_mod(*args)
+
+    monkeypatch.setattr(centtype.upoly, "poly_pow_mod", counted)
+    assert not is_irreducible(f)
+    assert len(calls) == 1
 
 
 def test_roots_in_extension_frozen():
