@@ -57,7 +57,6 @@ from .exactmat import (
     frobenius_form,
     mat_eval_poly,
     minpoly,
-    restrict_to_basis,
 )
 from .typealg import _compose_inverse, cycle_type, gentype_matching
 from .upoly import Poly, poly_compose_mod, poly_crt, poly_gcd, poly_xgcd, squarefree_part
@@ -132,39 +131,6 @@ def cent_span_equal(X, Y):
     bx = centralizer_basis(X)
     by = centralizer_basis(Y)
     return _span_rref(X.ctx, bx.matrices) == _span_rref(Y.ctx, by.matrices)
-
-
-# -- primary decomposition --
-
-
-@dataclass(frozen=True)
-class PrimaryComponent:
-    """One f-primary summand: ker f(X)^m with X restricted to it."""
-
-    poly: Poly
-    partition: object
-    basis: tuple
-    restriction: Matrix
-
-
-def primary_decomposition(X, seed=0):
-    """Primary components of X, ordered like its cycle type entries."""
-    ct = cycle_type(X, seed=seed)
-    out = []
-    for f, lam in ct.entries:
-        power = mat_eval_poly(f, X) ** lam.parts[0]
-        basis = power.kernel()
-        if len(basis) != f.degree * lam.size:
-            raise VerificationError("primary component has unexpected dimension")
-        out.append(
-            PrimaryComponent(
-                poly=f,
-                partition=lam,
-                basis=basis,
-                restriction=restrict_to_basis(X, basis),
-            )
-        )
-    return tuple(out)
 
 
 # -- Jordan-Chevalley decomposition --

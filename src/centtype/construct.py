@@ -1,4 +1,4 @@
-"""Random constructions used by the verification suites and tests.
+"""Random matrices and polynomials for the verification suites and tests.
 
 Everything takes an explicit `random.Random` so runs are reproducible
 from a single seed.  Over Q entries stay single-digit before
@@ -12,7 +12,6 @@ from fractions import Fraction
 from .errors import TooLarge, UnsupportedField
 from .exactfield import RationalField, random_elem
 from .exactmat import Matrix, block_diag, companion
-from .permcent import Permutation
 from .typealg import Partition, partitions_of
 from .upoly import Poly, is_irreducible
 
@@ -88,18 +87,3 @@ def equivalent_pair(ctx, rng):
     f = Poly(ctx, [Fraction(v) for v in rng.choice(_Q_SHIFT_BASES)])
     shift = Poly(ctx, [Fraction(rng.choice((-2, -1, 1, 2))), Fraction(1)])
     return f, f.compose(shift)
-
-
-def random_permutation(n, rng):
-    imgs = list(range(1, n + 1))
-    rng.shuffle(imgs)
-    return Permutation(imgs)
-
-
-def random_even_permutation(n, rng):
-    p = random_permutation(n, rng)
-    if not p.is_even():
-        imgs = list(p.images)
-        imgs[0], imgs[1] = imgs[1], imgs[0]
-        p = Permutation(imgs)
-    return p

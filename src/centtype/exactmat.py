@@ -21,7 +21,7 @@ check what they are given.  `Matrix.rref`, `Matrix.det` and `_kernel`
 insert the rows into one echelon.  `_kernel` (behind `kernel`) reads the
 null space straight off the echelon's sparse reduced rows, one vector
 per free column, without building the dense reduced matrix; `inverse`,
-`solve_right`, `rank` and `rowspace_rref` read `Matrix.rref`.
+`solve_right` and `rank` read `Matrix.rref`.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
@@ -284,11 +284,6 @@ class Matrix:
                 if j != p:
                     free[j][p] = neg(v)
         return list(free.values())
-
-    def rowspace_rref(self):
-        """Canonical basis of the row space (zero rows dropped)."""
-        red, pivots = self.rref()
-        return red.rows[: len(pivots)]
 
     def solve_right(self, rhs):
         """One solution x of self * x = rhs, or None if inconsistent."""
@@ -605,15 +600,6 @@ def minpoly(A):
     return frobenius_form(A).invariant_factors[-1]
 
 
-def charpoly(A):
-    """Characteristic polynomial: the product of the invariant factors."""
-    form = frobenius_form(A)
-    out = Poly.one(A.ctx)
-    for f in form.invariant_factors:
-        out = out * f
-    return out
-
-
 def similar_conjugator(A, B):
     """S with S.inverse() * A * S == B, or None if A and B are not similar."""
     if A.ctx != B.ctx or A.shape != B.shape:
@@ -634,14 +620,3 @@ def _form_conjugator(A, fa, B, fb):
         raise VerificationError("conjugator verification failed")
     return S
 
-
-def restrict_to_basis(A, basis):
-    """Matrix of A on an invariant subspace in the given basis coordinates."""
-    B = Matrix.from_columns(A.ctx, list(basis))
-    cols = []
-    for v in basis:
-        y = B.solve_right(A.apply(v))
-        if y is None:
-            raise SizeMismatch("subspace is not invariant under the matrix")
-        cols.append(y)
-    return Matrix.from_columns(A.ctx, cols)

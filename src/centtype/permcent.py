@@ -245,10 +245,6 @@ class CycleLayers:
         return self._supports.get(i, frozenset())
 
 
-def cycle_layers(g):
-    return CycleLayers(g)
-
-
 def _cycle_power(cycles, images, i):
     """The k in [1, i) coprime with i such that `images` maps every point
     of the length-i `cycles` as their product to the power k, or None.
@@ -281,21 +277,6 @@ def _local_k(la, lb, i):
         return 1
     # on the common support of the i-layers, h's images are those of w_i
     return _cycle_power(ca, lb.images, i)
-
-
-def locally_equivalent(g, h, i):
-    """Smallest valid exponent at layer i, or None."""
-    if g.degree != h.degree:
-        return None
-    return _local_k(CycleLayers(g), CycleLayers(h), i)
-
-
-def perm_equivalent(g, h):
-    """Locally equivalent at every layer."""
-    if g.degree != h.degree:
-        return False
-    la, lb = CycleLayers(g), CycleLayers(h)
-    return not _bad_layers(la, lb)
 
 
 @dataclass(frozen=True)
@@ -467,16 +448,6 @@ def an_cent_equal(g, h):
     if not lb.even:
         raise OddPermutation("second argument is odd")
     return _decide_an(la, lb)
-
-
-def cent_order_sn(g):
-    """Order of the centralizer in S_n from the cycle structure."""
-    layers = CycleLayers(g)
-    out = 1
-    for i in layers.lengths():
-        mi = len(layers.cycles(i))
-        out *= i**mi * math.factorial(mi)
-    return out
 
 
 # -- brute force --

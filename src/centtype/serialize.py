@@ -44,7 +44,6 @@ from .exactfield import (
 )
 from .exactmat import Matrix, companion
 from .permcent import Permutation, _index, parse_cycles
-from .typealg import Partition
 from .upoly import Poly, _check_qf_cap
 
 _TERM = re.compile(r"^(-)?(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?$")
@@ -138,7 +137,7 @@ def make_field(spec):
         if s in ("Q", "q"):
             return rationals()
         body = s[1:].lstrip("_")
-        if s.startswith("F") and body.isdigit():
+        if s.startswith("F") and body.isascii() and body.isdigit():
             try:
                 p = int(body)
             except ValueError as exc:  # over the integer-string digit limit
@@ -198,19 +197,6 @@ def matrix_from_json(obj):
         return Matrix(ctx, [[elem_from_json(ctx, v) for v in row] for row in rows])
     except (TypeError, SizeMismatch) as exc:
         raise ParseError("bad matrix rows: %s" % exc) from exc
-
-
-def partition_to_json(lam):
-    return list(lam.parts)
-
-
-def partition_from_json(val):
-    if not isinstance(val, (list, tuple)):
-        raise ParseError("partition must be an array of parts")
-    try:
-        return Partition(val)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("bad partition: %s" % exc) from exc
 
 
 def cycle_type_to_json(t):

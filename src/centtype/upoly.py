@@ -360,13 +360,6 @@ def poly_xgcd(a, b):
     return r0 * inv, s0 * inv, t0 * inv
 
 
-def poly_lcm(a, b):
-    g = poly_gcd(a, b)
-    if g.is_zero():
-        return g
-    return ((a * b) // g).monic()
-
-
 # -- modular composition, powering, CRT --
 
 

@@ -1,6 +1,7 @@
 """Static checks on the package source: no module imports a name it never
-uses, no import sits inside a function without a reason, and no
-module-level private function is left without a caller."""
+uses, no import sits inside a function without a reason, no module-level
+private function is left without a caller, and every public function or
+class is exported or used."""
 
 import ast
 import pathlib
@@ -90,14 +91,20 @@ def test_function_level_imports_only_break_cycles():
     )
 
 
-def test_every_private_function_has_a_caller():
-    trees = {p.stem: _tree(p) for p in MODULES}
+def _referenced(trees):
+    """Every name some module reads, or imports from another one."""
     referenced = set()
     for tree in trees.values():
         referenced |= _used_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
+    return referenced
+
+
+def test_every_private_function_has_a_caller():
+    trees = {p.stem: _tree(p) for p in MODULES}
+    referenced = _referenced(trees)
     dead = [
         "%s.%s" % (name, node.name)
         for name, tree in trees.items()
@@ -108,3 +115,28 @@ def test_every_private_function_has_a_caller():
         and node.name not in referenced
     ]
     assert not dead, "private functions nothing in src refers to: %s" % ", ".join(dead)
+
+
+def _exported(init_tree):
+    for node in init_tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("__init__.py assigns no __all__")
+
+
+def test_every_public_name_is_exported_or_used():
+    # a public function or class is part of the API (in __all__) or
+    # something else in src uses it
+    trees = {p.stem: _tree(p) for p in MODULES}
+    keep = _exported(trees["__init__"]) | _referenced(trees)
+    dead = [
+        "%s.%s" % (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in keep
+    ]
+    assert not dead, "public names neither in __all__ nor used in src: %s" % ", ".join(dead)

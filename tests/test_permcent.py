@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -6,22 +7,25 @@ import re
 import pytest
 
 from centtype import (
+    CycleLayers,
     OddPermutation,
     ParseError,
     Permutation,
     TooLarge,
+    VariationReport,
     an_cent_equal,
-    cent_order_sn,
-    cycle_layers,
-    locally_equivalent,
     perm_centralizer_bruteforce,
-    perm_equivalent,
     sn_cent_equal,
 )
-from centtype.construct import random_even_permutation, random_permutation
 from centtype.serialize import permutation_from_text
 
 P = Permutation.parse
+
+
+def random_permutation(n, rng):
+    imgs = list(range(1, n + 1))
+    rng.shuffle(imgs)
+    return Permutation(imgs)
 
 
 def test_parse_and_str():
@@ -82,7 +86,7 @@ def test_cycles_and_support():
     assert g.cycles() == ((1, 2, 3), (5, 6))
     assert g.fixed_points() == frozenset({4, 7})
     assert g.support() == frozenset({1, 2, 3, 5, 6})
-    layers = cycle_layers(g)
+    layers = CycleLayers(g)
     assert layers.cycles(3) == ((1, 2, 3),)
     assert layers.cycles(2) == ((5, 6),)
     assert layers.support(1) == frozenset({4, 7})
@@ -114,20 +118,19 @@ def test_parity():
     assert not P("(1 2)").is_even()
     assert P("(1 2 3)").is_even()
     assert P("(1 2)(3 4)").is_even()
-    assert random_even_permutation(6, random.Random(1)).is_even()
 
 
 def test_cent_order_formula():
-    # prod i^m_i m_i!
-    assert cent_order_sn(P("()", n=5)) == 120
-    assert cent_order_sn(P("(1 2)", n=4)) == 4
-    assert cent_order_sn(P("(1 2)(3 4)", n=4)) == 8
-    assert cent_order_sn(P("(1 2 3)", n=4)) == 3
+    # the brute-force centralizer in S_n has order prod i^m_i m_i!
+    for text, n, order in (("()", 5, 120), ("(1 2)", 4, 4), ("(1 2)(3 4)", 4, 8), ("(1 2 3)", 4, 3)):
+        assert len(perm_centralizer_bruteforce(P(text, n=n), "S")) == order
     for n in (4, 5, 6):
         rng = random.Random(n)
         for _ in range(10):
             g = random_permutation(n, rng)
-            assert cent_order_sn(g) == len(perm_centralizer_bruteforce(g, "S"))
+            mults = collections.Counter(map(len, g.cycles(include_fixed=True)))
+            order = math.prod(i**m * math.factorial(m) for i, m in mults.items())
+            assert len(perm_centralizer_bruteforce(g, "S")) == order
 
 
 def test_bruteforce_guards():
@@ -142,7 +145,7 @@ def test_bruteforce_guards():
 def test_layer_parity_matches_is_even():
     for images in itertools.permutations(range(1, 6)):
         g = Permutation(images)
-        assert cycle_layers(g).even == g.is_even()
+        assert CycleLayers(g).even == g.is_even()
     even, odd = P("(1 2 3)", n=4), P("(1 2)", n=4)
     with pytest.raises(OddPermutation, match="first argument is odd"):
         an_cent_equal(odd, even)
@@ -152,12 +155,10 @@ def test_layer_parity_matches_is_even():
 
 def test_locally_equivalent():
     g = P("(1 2 3 4 5)", n=5)
-    assert locally_equivalent(g, g**2, 5)
-    assert locally_equivalent(g, g**3, 5)
+    assert sn_cent_equal(g, g**2) == VariationReport(True, "equivalent")
+    assert sn_cent_equal(g, g**3) == VariationReport(True, "equivalent")
     h = P("(1 2 3 5 4)", n=5)
-    assert not locally_equivalent(g, h, 5)
-    assert perm_equivalent(g, g**2)
-    assert not perm_equivalent(g, h)
+    assert sn_cent_equal(g, h) == VariationReport(False, "not-equal", (5,))
 
 
 def test_sn_swap_cases():
@@ -358,7 +359,7 @@ def test_trusted_paths_match_the_validating_constructor():
         _assert_validated(g.inverse(), _ref_pow(g, -1))
         for e in (-2, 0, 1, 3):
             _assert_validated(g**e, _ref_pow(g, e))
-        layers = cycle_layers(g)
+        layers = CycleLayers(g)
         want = _layers_from_cycles(g)
         assert layers.degree == n and layers.images == g.images
         assert layers.even == g.is_even()

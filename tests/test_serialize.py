@@ -6,7 +6,6 @@ import pytest
 from centtype import (
     Matrix,
     ParseError,
-    Partition,
     Permutation,
     Poly,
     ReducibleModulus,
@@ -29,8 +28,6 @@ from centtype.serialize import (
     matrix_from_json,
     matrix_to_json,
     parse_poly_text,
-    partition_from_json,
-    partition_to_json,
     permutation_from_text,
     poly_from_json,
     poly_to_json,
@@ -79,17 +76,6 @@ def test_matrix_from_companion_key():
     assert matrix_from_json(obj2) == companion(Poly(F3, [1, 0, 1]))
     with pytest.raises(ParseError):
         matrix_from_json({"field": {"kind": "Q"}})
-
-
-def test_partition_json():
-    lam = Partition([3, 1, 1])
-    assert partition_to_json(lam) == [3, 1, 1]
-    assert partition_from_json([1, 3, 1]) == lam
-    # parts are integers, never truncated or converted
-    for bad in ([0], [2.5, 1], ["3", 1]):
-        with pytest.raises(ParseError):
-            partition_from_json(bad)
-    assert partition_from_json([True, 2]).parts == (2, 1)
 
 
 def test_type_json_shapes():
@@ -186,10 +172,12 @@ GUARDS = [
      ParseError, "polynomial must be a coefficient array or text, got 5"),
     ("matrix without a field", lambda: matrix_from_json({"rows": [[1]]}),
      ParseError, "matrix JSON must be an object with a 'field' key"),
-    ("partition not an array", lambda: partition_from_json(3),
-     ParseError, "partition must be an array of parts"),
     ("field spec of another type", lambda: make_field(3), ParseError, "unrecognized field spec 3"),
     ("field spec text", lambda: make_field("GF4"), ParseError, "unrecognized field spec 'GF4'"),
+    ("field spec with a fullwidth digit", lambda: make_field("F\uff15"),
+     ParseError, "unrecognized field spec 'F\uff15'"),
+    ("field spec with a superscript digit", lambda: make_field("F\u00b2"),
+     ParseError, "unrecognized field spec 'F\u00b2'"),
     ("descriptor not an object", lambda: field_from_descriptor(None),
      ParseError, "bad field descriptor None"),
     ("descriptor prime as text", lambda: field_from_descriptor({"kind": "Fp", "p": "5"}),

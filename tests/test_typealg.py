@@ -28,7 +28,6 @@ from centtype import (
     poly_equivalent,
     poly_factor,
     poly_roots_in_ext,
-    primary_decomposition,
     prime_field,
     rationals,
 )
@@ -57,6 +56,16 @@ def test_partition_normalization():
         Partition([0, 1])
     with pytest.raises(Exception):
         Partition([-2])
+
+
+def test_partition_parts_are_integers():
+    # never truncated or converted; a bool is an int
+    with pytest.raises(ValueError):
+        Partition([0])
+    for bad in ([2.5, 1], ["3", 1]):
+        with pytest.raises(TypeError):
+            Partition(bad)
+    assert Partition([True, 2]).parts == (2, 1)
 
 
 def test_partition_conjugate_involution():
@@ -351,20 +360,6 @@ def test_gentype_matching():
     # partition mismatch kills the match
     tc = CycleType([(g, Partition([1, 1]))]).generalized()
     assert gentype_matching(ta, tc) is None
-
-
-def test_primary_decomposition_reconstruction():
-    f = Poly(F3, [1, 0, 1])
-    g = Poly(F3, [1, 1])
-    M = block_diag([companion(f**2), companion(g)])
-    comps = primary_decomposition(M)
-    assert sorted(str(c.poly) for c in comps) == sorted([str(f), str(g)])
-    for c in comps:
-        # the restriction is primary with the recorded partition
-        ct = cycle_type(c.restriction)
-        assert ct.entries == ((c.poly, c.partition),)
-        assert len(c.basis) == c.poly.degree * c.partition.size
-    assert sum(len(c.basis) for c in comps) == M.nrows
 
 
 def test_nilpotent_after_eval():

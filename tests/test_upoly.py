@@ -26,7 +26,6 @@ from centtype import (
     poly_embed,
     poly_factor,
     poly_gcd,
-    poly_lcm,
     poly_pow_mod,
     poly_roots_in_ext,
     poly_xgcd,
@@ -157,14 +156,6 @@ def test_xgcd_matches_the_loop_that_normalises_at_the_end():
             g, s, t = poly_xgcd(a, b)
             assert (g, s, t) == _xgcd_normalised_at_the_end(a, b), (str(a), str(b))
             assert s * a + t * b == g
-
-
-def test_lcm():
-    a = Poly(Q, [-1, 1]) * Poly(Q, [1, 1])
-    b = Poly(Q, [1, 1]) * Poly(Q, [2, 1])
-    l = poly_lcm(a, b)
-    assert (l % a).is_zero() and (l % b).is_zero()
-    assert l.degree == 3
 
 
 def test_compose_and_compose_mod():
