@@ -20,7 +20,7 @@ here returns checkable objects:
     all of GL_n(F_p) for a conjugator, for small instances.
 
 Witness construction per primary component of type f^lambda matched to
-g^lambda via the inverse pair (r, s): write the canonical f^lambda matrix
+g^lambda via a root r of g in K[x]/(f): write the canonical f^lambda matrix
 as S + N.  Then r(S + N) = r(S) + N(r'(S) + N...), so r keeps the
 nilpotent type, and p = r works, exactly when lambda has no part above 1
 or f does not divide r'.  Otherwise Newton's iteration lifts the root x
@@ -188,9 +188,8 @@ def jordan_chevalley(X):
 # -- witness polynomials --
 
 
-def _component_witness(f, lam, g, rs):
+def _component_witness(f, lam, g, r):
     """Polynomial sending the class f^lam onto the class g^lam."""
-    r = rs[0]
     x = Poly.x(f.ctx)
     if f == g:
         return x
@@ -203,9 +202,9 @@ def _component_witness(f, lam, g, rs):
 
 def _glue_direction(match):
     residues, moduli = [], []
-    for (f, lam), (g, _), rs in match:
+    for (f, lam), (g, _), r in match:
         mc = f ** lam.parts[0]
-        residues.append(_component_witness(f, lam, g, rs) % mc)
+        residues.append(_component_witness(f, lam, g, r) % mc)
         moduli.append(mc)
     if len(moduli) == 1:
         return residues[0]

@@ -624,7 +624,7 @@ def elem_to_json(e):
     return [elem_to_json(FieldElem(ctx.base, c)) for c in e.val]
 
 
-_RATIONAL = r"[+-]?\d+(?:/\d+)?"
+_RATIONAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
 
 
 def elem_from_json(ctx, v):

@@ -190,6 +190,10 @@ def parse_cycles(text):
         return ()
     if s[0] != "(" or s[-1] != ")":
         raise ParseError("bad cycle notation %r" % text)
+    # int() also reads other scripts' digits, "_" separators and a "+";
+    # a point is ASCII digits, with a "-" left for from_cycles to refuse
+    if not s.isascii() or "_" in s or "+" in s:
+        raise ParseError("bad cycle point in %r" % text)
     cycles = []
     for chunk in s[1:-1].replace(",", " ").split(")("):
         pts = chunk.split()

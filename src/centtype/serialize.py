@@ -46,7 +46,7 @@ from .exactmat import Matrix, companion
 from .permcent import Permutation, _index, parse_cycles
 from .upoly import Poly, _check_qf_cap
 
-_TERM = re.compile(r"^(-)?(\d+(?:/\d+)?)?(x(?:\^(\d+))?)?$")
+_TERM = re.compile(r"^(-)?([0-9]+(?:/[0-9]+)?)?(x(?:\^([0-9]+))?)?$")
 
 MAX_INPUT_DEGREE = 512
 
@@ -187,6 +187,8 @@ def field_from_descriptor(d):
 def matrix_from_json(obj):
     if not isinstance(obj, dict) or "field" not in obj:
         raise ParseError("matrix JSON must be an object with a 'field' key")
+    if "companion" in obj and "rows" in obj:
+        raise ParseError("matrix JSON has both 'companion' and 'rows'")
     ctx = make_field(obj["field"])
     if "companion" in obj:
         return companion(poly_from_json(ctx, obj["companion"]))

@@ -15,11 +15,10 @@ the Green type there; over Q it is strictly finer.  All three levels
 share one entry layout: (head, partition) pairs sorted by degree,
 partition and head, the head an irreducible or, in a Green type, a degree.
 
-`poly_equivalent` does not just decide the relation: it returns a
-matched pair (r, s) with r mapping the distinguished root of f to a
-root of g and s inverting it on that root, so s(r(x)) = x mod f.  The
-witness construction downstream builds p from r, and finds its inverse
-q as s is found, by `_compose_inverse`.
+`poly_equivalent` does not just decide the relation: it returns a root
+r of g in K[x]/(f), a polynomial over K mapping the distinguished root
+of f to a root of g.  The witness construction downstream builds p from
+r, and finds its inverse q by `_compose_inverse`.
 """
 
 from __future__ import annotations
@@ -245,7 +244,7 @@ def generalized_type(X, seed=0):
     return cycle_type(X, seed=seed).generalized()
 
 
-# -- the ~ relation with inverse-pair witnesses --
+# -- the ~ relation with root witnesses --
 
 
 @lru_cache(maxsize=4096)
@@ -272,35 +271,24 @@ def _compose_inverse(p, m):
 def _poly_equivalent_cached(f, g):
     if f.degree != g.degree:
         return None
-    x = Poly.x(f.ctx)
     if f == g:
-        return (x, x)
-    L = ExtensionField(f.ctx, f.coeffs)
-    roots = poly_roots_in_ext(g, L)
+        return Poly.x(f.ctx)
+    roots = poly_roots_in_ext(g, ExtensionField(f.ctx, f.coeffs))
     if not roots:
         return None
-    r = roots[0][1]
-    s = _compose_inverse(r, f)
-    if s is None:
-        raise VerificationError("powers of a generating root failed to span")
+    r = roots[0]
     if not poly_compose_mod(g, r, f).is_zero():
         raise VerificationError("claimed root is not a root")
-    if not poly_compose_mod(f, s, g).is_zero():
-        raise VerificationError("inverse witness misses the source")
-    if not ((poly_compose_mod(s, r, f) - x) % f).is_zero():
-        raise VerificationError("witness pair does not invert modulo the source")
-    if not ((poly_compose_mod(r, s, g) - x) % g).is_zero():
-        raise VerificationError("witness pair does not invert modulo the target")
-    return (r, s)
+    return r
 
 
 def poly_equivalent(f, g):
-    """Witness pair (r, s) when f ~ g, else None.
+    """A root r of g in K[x]/(f) when f ~ g, else None.
 
     Both inputs must be monic irreducible over the same field.  On
-    success, r sends the distinguished root of f to a root of g, s sends
-    it back, and the pair satisfies g(r) = 0 mod f, f(s) = 0 mod g,
-    s(r(x)) = x mod f, r(s(x)) = x mod g.
+    success r is a polynomial over K of degree < deg f with
+    g(r) = 0 mod f: it sends the distinguished root of f to a root of g.
+    When f == g, r is x.
     """
     if f.ctx != g.ctx:
         raise CtxMismatch("equivalence over different fields")
@@ -313,8 +301,9 @@ def poly_equivalent(f, g):
 def gentype_matching(ta, tb):
     """Pairing of generalized-type entries, or None when the types differ.
 
-    Returns a tuple of ((f_a, lam), (f_b, lam), (r, s)) triples covering
-    every entry once, with (r, s) the inverse pair for f_a ~ f_b.
+    Returns a tuple of ((f_a, lam), (f_b, lam), r) triples covering
+    every entry once, with r the root of f_b in K[x]/(f_a) that
+    `poly_equivalent` returns.
     """
     if not isinstance(ta, GeneralizedType) or not isinstance(tb, GeneralizedType):
         raise SizeMismatch("matching needs two generalized types")
@@ -332,13 +321,13 @@ def gentype_matching(ta, tb):
         for i in buckets.get((f.degree, lam.parts), ()):
             if i in used:
                 continue
-            rs = poly_equivalent(f, tb.entries[i][0])
-            if rs is not None:
-                hit = (i, rs)
+            r = poly_equivalent(f, tb.entries[i][0])
+            if r is not None:
+                hit = (i, r)
                 break
         if hit is None:
             return None
-        i, rs = hit
+        i, r = hit
         used.add(i)
-        out.append(((f, lam), tb.entries[i], rs))
+        out.append(((f, lam), tb.entries[i], r))
     return tuple(out)

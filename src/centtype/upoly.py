@@ -808,9 +808,9 @@ def poly_roots_in_ext(g, L, seed=0):
     """Roots of g (over K) lying in the extension L = K[x]/(f): the
     degree-1 factors over L of g's squarefree part.
 
-    Returns a tuple of (root, expression) pairs sorted by expression key;
-    the expression is a polynomial over K of degree < deg f evaluating to
-    the root at the distinguished generator.
+    Returns a tuple of root polynomials sorted by `Poly.key`: each is a
+    polynomial over K of degree < deg f evaluating to the root at the
+    distinguished generator, so `L.coerce(r.coeffs)` is the root itself.
     """
     if not isinstance(L, ExtensionField):
         raise NotAnExtension("root search needs an extension field")
@@ -818,10 +818,10 @@ def poly_roots_in_ext(g, L, seed=0):
         raise CtxMismatch("polynomial is not over the base of the extension")
     if g.is_zero():
         raise ZeroPolynomial("every element is a root of zero")
-    pairs = []
-    for h, _ in poly_factor(poly_embed(squarefree_part(g), L), seed).factors:
-        if h.degree == 1:
-            beta = -h.coeffs[0]
-            pairs.append((beta, Poly(L.base, list(beta.val))))
-    pairs.sort(key=lambda pr: pr[1].key())
-    return tuple(pairs)
+    roots = [
+        Poly(L.base, list((-h.coeffs[0]).val))
+        for h, _ in poly_factor(poly_embed(squarefree_part(g), L), seed).factors
+        if h.degree == 1
+    ]
+    roots.sort(key=Poly.key)
+    return tuple(roots)

@@ -19,11 +19,12 @@ names a pair by "n", "x" and "y", partition-formulas by its
 cycle texts "g" and "h".
 
 Each suite has a largest scale; a larger one is refused (TooLarge)
-before any task is drawn.  With one job each task is checked as soon as
-it is drawn, so the oracle suites, which draw their tasks lazily, never
-hold them all at once.  A process pool (--jobs) takes them in batches
-of `_BATCH`, all through the one pool, and failures are reported in
-instance order whatever the pool size.
+before any task is drawn.  A scale below 1, or below 2 for
+main-theorem-f2, is a ParseError.  With one job each task is checked as
+soon as it is drawn, so the oracle suites, which draw their tasks
+lazily, never hold them all at once.  A process pool (--jobs) takes
+them in batches of `_BATCH`, all through the one pool, and failures are
+reported in instance order whatever the pool size.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def _mainf2_tasks(master, scale):
     """Every pair of invariant-factor chains of degree n = 2..scale, each
     chain a list of coefficient lists."""
     if scale < 2:
-        raise TooLarge("main-theorem-f2 scale must be 2 or 3")
+        raise ParseError("main-theorem-f2 scale must be at least 2, got %d" % scale)
     ctx = prime_field(2)
     tasks = []
     for n in range(2, scale + 1):

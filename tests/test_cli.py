@@ -160,6 +160,18 @@ def test_exit_code_parse_error(tmp_path):
     assert proc.returncode == 2
 
 
+
+def test_matrix_with_both_companion_and_rows_exits_2(tmp_path, capsys):
+    from centtype import cli
+
+    # neither key may be dropped in silence: the answer would be for the
+    # 2x2 companion matrix, not the 1x1 rows
+    f = write_matrix(tmp_path, "m.json", {"field": "Q", "companion": "x^2-2", "rows": [[1]]})
+    assert cli.main(["mtype", f]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "ParseError", "message": "matrix JSON has both 'companion' and 'rows'"}
+
+
 SQRT2 = {"kind": "ext", "base": {"kind": "Q"}, "modulus": [-2, 0, 1]}
 
 

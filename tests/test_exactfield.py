@@ -410,6 +410,8 @@ GUARDS = [
      TypeError, "vector longer than extension degree"),
     ("JSON vector longer than the degree", lambda: elem_from_json(_F9, [1, 2, 0]),
      ParseError, "vector longer than extension degree"),
+    ("rational with a fullwidth digit", lambda: elem_from_json(rationals(), "\uff11/2"),
+     ParseError, "bad rational '\uff11/2'"),
     ("float over Q", lambda: rationals().coerce(0.5), TypeError, _FLOAT),
     ("float over F5", lambda: prime_field(5).coerce(0.5), TypeError, _FLOAT),
     ("float over F9", lambda: _F9.coerce(0.5), TypeError, _FLOAT),

@@ -451,6 +451,9 @@ _FROM_TEXT_ERRORS = [
     ("(1 2)", 2.5, ParseError, "bad degree 2.5"),
     ([2, 1], "3", ParseError, "bad degree '3'"),
     ([2, 1], 2.5, ParseError, "bad degree 2.5"),
+    ("(1 \uff12)", None, ParseError, "bad cycle point in '(1 \uff12)'"),
+    ("(1_0 2)", None, ParseError, "bad cycle point in '(1_0 2)'"),
+    ("(+1 2)", None, ParseError, "bad cycle point in '(+1 2)'"),
 ]
 
 

@@ -168,6 +168,8 @@ GUARDS = [
     ("empty polynomial text", lambda: parse_poly_text(Q, "  "), ParseError, "empty polynomial text"),
     ("bad polynomial term", lambda: parse_poly_text(Q, "x^2 + y"),
      ParseError, "bad polynomial term 'y' in 'x^2 + y'"),
+    ("polynomial with fullwidth digits", lambda: parse_poly_text(prime_field(5), "x^\uff12 + \uff13"),
+     ParseError, "bad polynomial term 'x^\uff12' in 'x^\uff12 + \uff13'"),
     ("polynomial neither text nor array", lambda: poly_from_json(Q, 5),
      ParseError, "polynomial must be a coefficient array or text, got 5"),
     ("matrix without a field", lambda: matrix_from_json({"rows": [[1]]}),

@@ -184,68 +184,63 @@ def test_poly_equivalent_over_finite():
         for d in (1, 2, 3):
             f = random_irreducible(ctx, d, rng)
             g = random_irreducible(ctx, d, rng)
-            rs = poly_equivalent(f, g)
-            assert rs is not None
-            check_inverse_pair(f, g, rs)
+            r = poly_equivalent(f, g)
+            assert r is not None
+            check_root(f, g, r)
         # different degrees never match
         assert poly_equivalent(
             random_irreducible(ctx, 1, rng), random_irreducible(ctx, 2, rng)
         ) is None
 
 
-def check_inverse_pair(f, g, rs):
-    r, s = rs
-    x = Poly.x(f.ctx)
+def check_root(f, g, r):
     assert poly_compose_mod(g, r, f).is_zero()
-    assert poly_compose_mod(f, s, g).is_zero()
-    assert ((poly_compose_mod(s, r, f) - x) % f).is_zero()
-    assert ((poly_compose_mod(r, s, g) - x) % g).is_zero()
+    assert r.degree < f.degree
 
 
 def test_poly_equivalent_degree_one():
-    # r and s are constants here; the identities hold modulo the
-    # degree-one moduli
+    # r is a constant here; g(r) vanishes modulo the degree-one modulus
     f = Poly(F2, [0, 1])
     g = Poly(F2, [1, 1])
-    rs = poly_equivalent(f, g)
-    assert rs is not None
-    check_inverse_pair(f, g, rs)
+    r = poly_equivalent(f, g)
+    assert r is not None
+    check_root(f, g, r)
     f = Poly(Q, [-3, 1])
     g = Poly(Q, [5, 1])
-    rs = poly_equivalent(f, g)
-    assert rs is not None
-    check_inverse_pair(f, g, rs)
+    r = poly_equivalent(f, g)
+    assert r is not None
+    check_root(f, g, r)
 
 
 def test_poly_equivalent_over_q():
     f = Poly(Q, [-2, 0, 1])
     g = Poly(Q, [-8, 0, 1])
-    rs = poly_equivalent(f, g)
-    assert rs is not None
-    check_inverse_pair(f, g, rs)
+    r = poly_equivalent(f, g)
+    assert r is not None
+    check_root(f, g, r)
     assert poly_equivalent(f, Poly(Q, [-3, 0, 1])) is None
     # shifts are always equivalent
     x = Poly.x(Q)
     h = Poly(Q, [-1, -1, 0, 1])  # x^3 - x - 1
     hs = h.compose(x + Poly(Q, [2]))
-    rs = poly_equivalent(h, hs)
-    assert rs is not None
-    check_inverse_pair(h, hs, rs)
+    r = poly_equivalent(h, hs)
+    assert r is not None
+    check_root(h, hs, r)
     # golden ratio vs sqrt5: same field, different polynomials
     fib = Poly(Q, [-1, -1, 1])
     s5 = Poly(Q, [-5, 0, 1])
-    rs = poly_equivalent(fib, s5)
-    assert rs is not None
-    check_inverse_pair(fib, s5, rs)
+    r = poly_equivalent(fib, s5)
+    assert r is not None
+    check_root(fib, s5, r)
 
 
 def test_numberfield_poly_equivalent():
     # sqrt6 = sqrt2 sqrt3, so x^2 - 3 ~ x^2 - 6 over Q(sqrt2) but not over Q
     K = extension_field(Q, Poly(Q, [-2, 0, 1]))
     f, g = Poly(K, [-3, 0, 1]), Poly(K, [-6, 0, 1])
-    rs = poly_equivalent(f, g)
-    assert rs is not None
-    check_inverse_pair(f, g, rs)
+    r = poly_equivalent(f, g)
+    assert r is not None
+    check_root(f, g, r)
     assert poly_equivalent(f, Poly(K, [-5, 0, 1])) is None
     assert poly_equivalent(Poly(Q, [-3, 0, 1]), Poly(Q, [-6, 0, 1])) is None
 
@@ -300,25 +295,24 @@ def test_compose_inverse_inverts_p_modulo_m():
     assert found >= 60 and missing >= 10
 
 
-def _powers_of_beta_pair(f, g):
-    """(r, s) as the powers-of-beta solve in L = K[x]/(f) finds them, or
-    None: the construction `poly_equivalent` used before `_compose_inverse`."""
+def _first_root_in_extension(f, g):
+    """The reference r: x when f == g, else the first root of g that
+    `poly_roots_in_ext` finds in L = K[x]/(f), checked to vanish by
+    evaluating g in L's own arithmetic, or None when g has no root there."""
     if f == g:
-        return (Poly.x(f.ctx),) * 2
+        return Poly.x(f.ctx)
     L = ExtensionField(f.ctx, f.coeffs)
     roots = poly_roots_in_ext(g, L)
     if not roots:
         return None
-    beta, r = roots[0]
-    powers, acc = [], L.one
-    for _ in range(f.degree):
-        powers.append(tuple(acc.val))
-        acc = acc * beta
-    svec = Matrix.from_columns(f.ctx, powers).solve_right(L.generator.val)
-    return (r, Poly(f.ctx, svec))
+    beta, acc = L.coerce(roots[0].coeffs), L.zero
+    for c in reversed(g.coeffs):
+        acc = acc * beta + L.embed(c)
+    assert acc == L.zero
+    return roots[0]
 
 
-def test_poly_equivalent_pairs_equal_the_powers_of_beta_solve():
+def test_poly_equivalent_roots_equal_the_first_root_in_the_extension():
     rng = random.Random(83)
     F9 = extension_field(F3, Poly(F3, [1, 0, 1]))
     K = extension_field(Q, Poly(Q, [-2, 0, 1]))
@@ -337,9 +331,24 @@ def test_poly_equivalent_pairs_equal_the_powers_of_beta_solve():
     matched = 0
     for f, g in pairs:
         got = poly_equivalent(f, g)
-        assert got == _powers_of_beta_pair(f, g)
+        assert got == _first_root_in_extension(f, g)
         matched += got is not None
     assert len(pairs) >= 200 and matched >= 190
+
+
+def test_poly_equivalent_catches_a_claimed_root_that_is_not_one(monkeypatch):
+    import centtype.typealg as typealg
+    from centtype import VerificationError
+
+    # x is no root of x^2 - 8 in Q[x]/(x^2 - 2)
+    f, g = Poly(Q, [-2, 0, 1]), Poly(Q, [-8, 0, 1])
+    typealg._poly_equivalent_cached.cache_clear()
+    monkeypatch.setattr(typealg, "poly_roots_in_ext", lambda g, L: (Poly.x(Q),))
+    with pytest.raises(VerificationError, match="claimed root is not a root"):
+        poly_equivalent(f, g)
+    monkeypatch.undo()
+    typealg._poly_equivalent_cached.cache_clear()
+    assert poly_equivalent(f, g) == Poly(Q, [0, -2])
 
 
 def test_poly_equivalent_rejects_reducible():
@@ -355,8 +364,8 @@ def test_gentype_matching():
     match = gentype_matching(ta, tb)
     assert match is not None
     assert len(match) == 1
-    (ea, eb, rs) = match[0]
-    check_inverse_pair(ea[0], eb[0], rs)
+    (ea, eb, r) = match[0]
+    check_root(ea[0], eb[0], r)
     # partition mismatch kills the match
     tc = CycleType([(g, Partition([1, 1]))]).generalized()
     assert gentype_matching(ta, tc) is None

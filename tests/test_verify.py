@@ -60,7 +60,8 @@ def test_oracle_scale_bounds():
         run_suite("sn-oracle", scale=9)
     with pytest.raises(TooLarge):
         run_suite("main-theorem-f2", scale=5)
-    with pytest.raises(TooLarge):
+    # a scale too small for the suite is a bad input, like scale 0
+    with pytest.raises(ParseError, match="main-theorem-f2 scale must be at least 2, got 1"):
         run_suite("main-theorem-f2", scale=1)
     rep = run_suite("an-oracle", scale=4)
     assert rep.passed and rep.scale == 4
