@@ -31,15 +31,17 @@ chain to the basis.  Dependency bookkeeping runs through `_Echelon`,
 which remembers how every reduced row decomposes over the tracked
 inserts.  Its polynomial steps need only vectors f(A) u, computed by
 Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
-Each round scans unit vectors only until they and the accumulated
-chains span V, skipping any unit vector already in that span, and keeps
-the Krylov chain of a scanned generator that no lcm combination or
-conductor correction changed, so only a changed generator is re-run
-and checked to keep its order.  The Krylov chains, unit vectors and
-corrected generators stay payload lists throughout.  The Krylov basis Q
-is built from them with `_from_vals`, and the form keeps Q (`basis`)
-next to its inverse (`transform`), so the conjugator between two forms
-is a product of stored matrices and inverts nothing more.
+One echelon holds the kept Krylov vectors for the whole call, tagged by
+chain and power; each round's scan and each `_coset_order` call start
+from a copy of its rows (`_Echelon.span`), and the conductor correction
+reads chain coefficients off it.  A round scans unit vectors only until
+they and the kept chains span V, skipping those already in that span.
+The generator's chain is deg f - 1 matrix-vector products away, and it
+goes into the echelon once: a dependency there means the correction
+changed the order.  Vectors stay payload lists throughout; the Krylov
+basis Q is built from them with `_from_vals`, and the form keeps Q
+(`basis`) next to its inverse (`transform`), so the conjugator between
+two forms is a product of stored matrices and inverts nothing more.
 """
 
 from __future__ import annotations
@@ -370,11 +372,12 @@ class _Echelon:
     dependency bookkeeping.  This is the package's one elimination loop.
 
     Vectors go in as sequences of payloads (a `Matrix`'s `_vals` rows or
-    the payload vectors of `frobenius_form`).  Untracked
-    inserts are seeds; tracked inserts carry a tag.  Every stored row is
-    kept sparse as {column: payload}, is normalised to 1 at its pivot, and
-    remembers its expression over the tagged originals modulo the seed
-    span, so `express` can decompose a vector over the tracked inserts.
+    the payload vectors of `frobenius_form`).  Untracked inserts, and the
+    rows a `span` copy starts from, are seeds; tracked inserts carry a
+    tag.  Every stored row is kept sparse as {column: payload}, is
+    normalised to 1 at its pivot, and remembers its expression over the
+    tagged originals modulo the seed span, so `express` can decompose a
+    vector over the tracked inserts.
     `leads` holds, in insertion order, each independent insert's pivot
     payload before normalisation.
     """
@@ -430,6 +433,13 @@ class _Echelon:
         self.leads.append(lead)
         return None
 
+    def span(self):
+        """A new echelon with the same rows and no bookkeeping, so its rows
+        act as seeds; inserts into it leave this one as it is."""
+        ech = _Echelon(self.ctx, self.width)
+        ech.rows = [(p, dict(row), {}) for p, row, _ in self.rows]
+        return ech
+
     def express(self, vec):
         """{tag: coeff} with vec == sum(coeff * original) modulo seeds,
         or None when vec is outside the stored span."""
@@ -463,17 +473,15 @@ def _unit_vec(ctx, n, i):
     return v
 
 
-def _coset_order(A, u, seeds):
-    """Order of the coset of u in V / span(seeds) as a module over K[x],
-    for payload vectors u and seeds.
+def _coset_order(A, u, basis):
+    """Order of the coset of the payload vector u in V / span(basis) as a
+    module over K[x], for an `_Echelon` basis, which stays as it is.
 
     Returns (f, chain): f monic with f(A)u in the span, chain the Krylov
     payload vectors u, Au, ..., A^(deg f - 1) u.
     """
     ctx = A.ctx
-    ech = _Echelon(ctx, A.nrows)
-    for s in seeds:
-        ech.insert(s)
+    ech = basis.span()
     chain = []
     vec = u
     k = 0
@@ -518,67 +526,56 @@ def frobenius_form(A):
     n = A.nrows
     zero = ctx.zero.val
     chains = []  # (generator, invariant factor, Krylov chain), largest first
-    all_krylov = []
-    dim = 0
-    while dim < n:
-        # u_chain: the Krylov chain of u while u is still a scanned unit
-        # vector, whose `_coset_order` already returned it
-        u, f, u_chain = None, None, None
-        # span of all_krylov and of the Krylov chains of the unit vectors
-        # scanned this round: a unit vector inside it lies in the module
-        # the scanned ones generate modulo all_krylov, so its order divides f
-        scanned = _Echelon(ctx, n)
-        for s in all_krylov:
-            scanned.insert(s)
+    # the kept Krylov vectors, A^j of the generator of chains[ci] tagged (ci, j)
+    basis = _Echelon(ctx, n)
+    while len(basis.rows) < n:
+        u, f = None, None
+        # span of the kept chains and of the Krylov chains of the unit
+        # vectors scanned this round: a unit vector inside it lies in the
+        # module the scanned ones generate modulo the kept chains, so its
+        # order divides f
+        scanned = basis.span()
         for i in range(n):
             if len(scanned.rows) == n:
                 break
             e = _unit_vec(ctx, n, i)
             if scanned.express(e) is not None:
                 continue
-            g, chain = _coset_order(A, e, all_krylov)
+            g, chain = _coset_order(A, e, basis)
             for v in chain:
                 scanned.insert(v)
             if u is None:
-                u, f, u_chain = e, g, chain
+                u, f = e, g
                 continue
             if (f % g).is_zero():
                 continue
             if (g % f).is_zero():
-                u, f, u_chain = e, g, chain
+                u, f = e, g
                 continue
             f1, g1 = _lcm_coprime_split(f, g)
             pair = zip(_poly_apply(f // f1, A, u), _poly_apply(g // g1, A, e))
             u = [ctx._add(a, b) for a, b in pair]
-            f, u_chain = f1 * g1, None
-        fu = _poly_apply(f, A, u)
-        if chains:
-            ech = _Echelon(ctx, n)
-            for ci, (_, _, kry) in enumerate(chains):
-                for j, kv in enumerate(kry):
-                    ech.insert(kv, tag=(ci, j))
-            expr = ech.express(fu)
-            if expr is None:
-                raise VerificationError("conductor image escaped the accumulated span")
-            for ci, (v, _, kry) in enumerate(chains):
-                gi = Poly._from_vals(ctx, [expr.get((ci, j), zero) for j in range(len(kry))])
-                if gi.is_zero():
-                    continue
-                q, r = divmod(gi, f)
-                if not r.is_zero():
-                    raise VerificationError("conductor fails to divide a chain coefficient")
-                u = [ctx._sub(a, b) for a, b in zip(u, _poly_apply(q, A, v))]
-                u_chain = None
-        elif any(c != zero for c in fu):
-            raise VerificationError("minimal polynomial does not annihilate its witness")
-        chain = u_chain
-        if chain is None:
-            g, chain = _coset_order(A, u, all_krylov)
-            if not (g - f).is_zero() or len(chain) != f.degree:
+            f = f1 * g1
+        expr = basis.express(_poly_apply(f, A, u))
+        if expr is None:
+            raise VerificationError("conductor image escaped the accumulated span")
+        for ci, (v, _, kry) in enumerate(chains):
+            gi = Poly._from_vals(ctx, [expr.get((ci, j), zero) for j in range(len(kry))])
+            if gi.is_zero():
+                continue
+            q, r = divmod(gi, f)
+            if not r.is_zero():
+                raise VerificationError("conductor fails to divide a chain coefficient")
+            u = [ctx._sub(a, b) for a, b in zip(u, _poly_apply(q, A, v))]
+        # f(A) u = 0 now, so a chain of deg f vectors independent of the
+        # kept ones makes f the order of u
+        chain = [u]
+        while len(chain) < f.degree:
+            chain.append(ctx._matvec(A._vals, chain[-1]))
+        for j, v in enumerate(chain):
+            if basis.insert(v, tag=(len(chains), j)) is not None:
                 raise VerificationError("corrected generator changed order")
         chains.append((u, f, chain))
-        all_krylov.extend(chain)
-        dim += f.degree
     chains.reverse()
     factors = tuple(f for _, f, _ in chains)
     for a, b in zip(factors, factors[1:]):

@@ -46,7 +46,7 @@ from .exactmat import Matrix, companion
 from .permcent import Permutation, _index, parse_cycles
 from .upoly import Poly, _check_qf_cap
 
-_TERM = re.compile(r"^(-)?([0-9]+(?:/[0-9]+)?)?(x(?:\^([0-9]+))?)?$")
+_TERM = re.compile(r"(-)?([0-9]+(?:/[0-9]+)?)?(x(?:\^([0-9]+))?)?")
 
 MAX_INPUT_DEGREE = 512
 
@@ -85,7 +85,7 @@ def parse_poly_text(ctx, text):
         s = s[1:]
     coeffs = {}
     for term in s.split("+"):
-        m = _TERM.match(term)
+        m = _TERM.fullmatch(term)
         if not m or not term:
             raise ParseError("bad polynomial term %r in %r" % (term, text))
         sign, digits, xpart, exp_s = m.groups()

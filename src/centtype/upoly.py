@@ -774,11 +774,11 @@ def _factor_trager(f):
     K, k = L.base, L.degree
     D = k * f.degree
     # exactmat imports this module at its top level
-    from .exactmat import Matrix, _coset_order, _unit_vec, companion
+    from .exactmat import Matrix, _coset_order, _Echelon, _unit_vec, companion
 
     zero, y = L.zero.val, L.generator
     C, I = companion(f), Matrix.identity(L, f.degree)
-    e0 = _unit_vec(K, D, 0)
+    e0, empty = _unit_vec(K, D, 0), _Echelon(K, D)
     for s in range(1, 4 * D * D + 5):
         rows = [[K.zero.val] * D for _ in range(D)]
         for a, crow in enumerate((C + I * (s * y))._vals):
@@ -789,7 +789,7 @@ def _factor_trager(f):
                     for i, v in enumerate(c):
                         rows[a * k + i][col] = v
                     c = L._mul(c, y.val)
-        N, chain = _coset_order(Matrix._from_vals(K, rows), e0, [])
+        N, chain = _coset_order(Matrix._from_vals(K, rows), e0, empty)
         if len(chain) == D and poly_gcd(N, N.derivative()).degree == 0:
             break
     else:

@@ -581,9 +581,9 @@ def test_internal_polys_match_public_constructor():
 
 def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
     """The unit-vector scan skips vectors inside the span already
-    reached and stops when that span is everything, and reuses the
-    Krylov chain of a scanned generator that nothing changed: on a
-    companion matrix, one `_coset_order` call for one scanned vector."""
+    reached and stops when that span is everything, and the generator's
+    chain is built without `_coset_order`: on a companion matrix, one
+    `_coset_order` call for one scanned vector."""
     from centtype import exactmat
 
     calls = []
@@ -603,6 +603,76 @@ def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
     M = block_diag([companion(d1), companion(d1 * f)])
     assert frobenius_form(M).invariant_factors == (d1, d1 * f)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "rows, splits, factors, basis",
+    [
+        # round 2 corrects the scanned e_1 to e_0 + e_1
+        ([[0, 0, 0], [0, 0, 0], [1, 1, 0]], 0, ["x", "x^2"], [["1", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]),
+        # round 1 combines e_0 and e_1 by the lcm split, round 2 corrects e_2
+        ([[0, 0, 0], [0, 1, 1], [0, 0, 0]], 1, ["x", "x^2 + x"], [["1", "1", "1"], ["1", "1", "0"], ["0", "1", "0"]]),
+    ],
+)
+def test_frobenius_conductor_and_lcm_rounds_order_only_unit_vectors(monkeypatch, rows, splits, factors, basis):
+    """`_coset_order` sees only scanned unit vectors: a generator that the
+    lcm split or the conductor correction changed gets its chain from
+    matrix-vector products, not from a second order computation."""
+    from centtype import exactmat
+
+    seen, split_calls = [], []
+    coset_order, lcm_split = exactmat._coset_order, exactmat._lcm_coprime_split
+
+    def recording_order(A, u, basis):
+        seen.append(list(u))
+        return coset_order(A, u, basis)
+
+    def recording_split(f, g):
+        split_calls.append((f, g))
+        return lcm_split(f, g)
+
+    monkeypatch.setattr(exactmat, "_coset_order", recording_order)
+    monkeypatch.setattr(exactmat, "_lcm_coprime_split", recording_split)
+    A = Matrix(F2, rows)
+    ff = frobenius_form(A)
+    assert seen and all(sorted(u) == [0, 0, 1] for u in seen), seen
+    assert len(split_calls) == splits
+    assert [str(f) for f in ff.invariant_factors] == factors
+    assert [[str(c) for c in col] for col in zip(*ff.basis.rows)] == basis
+    assert ff.transform * A * ff.basis == ff.form
+
+
+def test_frobenius_refuses_a_generator_chain_that_depends_on_itself(monkeypatch):
+    """An order of too high a degree gives a chain of more vectors than
+    the quotient holds, and inserting it into the kept basis meets a
+    dependency."""
+    from centtype import exactmat
+    from centtype.errors import VerificationError
+
+    coset_order = exactmat._coset_order
+
+    def inflated(A, u, basis):
+        g, chain = coset_order(A, u, basis)
+        return g * Poly.x(A.ctx), chain
+
+    monkeypatch.setattr(exactmat, "_coset_order", inflated)
+    x = Poly.x(F5)
+    with pytest.raises(VerificationError, match="corrected generator changed order"):
+        frobenius_form(companion(x**3 + 2 * x + 1))
+
+
+def test_echelon_span_copies_the_rows_without_bookkeeping():
+    ech = _Echelon(F5, 3)
+    for t, v in enumerate(([1, 2, 0], [0, 1, 4])):
+        ech.insert(v, tag=t)
+    rows = [(p, dict(row), dict(combo)) for p, row, combo in ech.rows]
+    span = ech.span()
+    assert [(p, row) for p, row, _ in span.rows] == [(p, row) for p, row, _ in rows]
+    assert span.express([1, 3, 4]) == {}
+    assert ech.express([1, 3, 4]) == {0: 1, 1: 1}
+    assert span.insert([0, 0, 1], tag="new") is None
+    assert span.insert([3, 1, 2], tag="dep") == {"new": 2}
+    assert ech.rows == rows
 
 
 # -- kernels read off the echelon, and the stored Krylov basis --

@@ -168,6 +168,10 @@ GUARDS = [
     ("empty polynomial text", lambda: parse_poly_text(Q, "  "), ParseError, "empty polynomial text"),
     ("bad polynomial term", lambda: parse_poly_text(Q, "x^2 + y"),
      ParseError, "bad polynomial term 'y' in 'x^2 + y'"),
+    ("polynomial with a newline inside", lambda: parse_poly_text(Q, "x\n+1"),
+     ParseError, "bad polynomial term 'x\\n' in 'x\\n+1'"),
+    ("polynomial with a final newline", lambda: parse_poly_text(Q, "x^2-2\n"),
+     ParseError, "bad polynomial term '-2\\n' in 'x^2-2\\n'"),
     ("polynomial with fullwidth digits", lambda: parse_poly_text(prime_field(5), "x^\uff12 + \uff13"),
      ParseError, "bad polynomial term 'x^\uff12' in 'x^\uff12 + \uff13'"),
     ("polynomial neither text nor array", lambda: poly_from_json(Q, 5),

@@ -37,7 +37,7 @@ from centtype import (
 from centtype import exactmat
 from centtype.construct import random_monic
 from centtype.exactfield import random_elem
-from centtype.exactmat import _coset_order, _unit_vec
+from centtype.exactmat import _coset_order, _Echelon, _unit_vec
 
 Q = rationals()
 F2 = prime_field(2)
@@ -451,7 +451,7 @@ def test_norm_of_a_full_chain_is_the_resultant():
         f, g = _rand_monic_q(rng, 4, 3), _rand_monic_q(rng, 4, 3)
         D = f.degree * g.degree
         for s in (1, 2, 3):
-            N, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), [])
+            N, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), _Echelon(Q, D))
             if len(chain) != D:
                 continue
             full += 1
@@ -468,7 +468,7 @@ def test_short_chain_means_the_norm_has_a_repeated_root():
         f, g = _rand_monic_q(rng, 3, 2), _rand_monic_q(rng, 3, 2)
         D = f.degree * g.degree
         for s in (1, 2):
-            _, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), [])
+            _, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), _Echelon(Q, D))
             if len(chain) == D:
                 continue
             short += 1
@@ -488,8 +488,8 @@ def test_roots_trager_skips_a_shift_with_a_short_chain(monkeypatch):
     f = Poly(Q, [-2, 0, 1])
     seen = []
 
-    def recording(A, u, seeds):
-        out = _coset_order(A, u, seeds)
+    def recording(A, u, basis):
+        out = _coset_order(A, u, basis)
         seen.append((A, len(out[1])))
         return out
 
