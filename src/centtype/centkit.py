@@ -99,17 +99,19 @@ def centralizer_basis(X):
     ctx = X.ctx
     n = X.nrows
     xv = X._vals
-    zero, add, sub = ctx.zero.val, ctx._add, ctx._sub
+    zero, neg, sub = ctx.zero.val, ctx._neg, ctx._sub
+    negcols = [[neg(c) for c in col] for col in zip(*xv)]
     rows = []
     # bottom-up: the reduced echelon, so the kernel, does not depend on
-    # the row order, and this one leaves the least back-substitution
+    # the row order, and this one leaves the least back-substitution.
+    # Row (i, j) holds x_ik at (k, j) and -x_lj at (i, l); the two meet
+    # at (i, j), which holds x_ii - x_jj
     for i in reversed(range(n)):
         for j in reversed(range(n)):
             row = [zero] * (n * n)
-            for k in range(n):
-                row[k * n + j] = add(row[k * n + j], xv[i][k])
-            for l in range(n):
-                row[i * n + l] = sub(row[i * n + l], xv[l][j])
+            row[j::n] = xv[i]
+            row[i * n : (i + 1) * n] = negcols[j]
+            row[i * n + j] = sub(xv[i][i], xv[j][j])
             rows.append(row)
     kernel = Matrix._from_vals(ctx, rows)._kernel()
     mats = tuple(
@@ -220,7 +222,11 @@ def _witnesses(X, Y, seed):
     bug, and raises."""
     form = lru_cache(maxsize=None)(frobenius_form)
     gta = cycle_type(form(X), seed=seed).generalized()
-    gtb = cycle_type(form(Y), seed=seed).generalized()
+    # a type depends on the invariant factors alone
+    if form(Y).invariant_factors == form(X).invariant_factors:
+        gtb = gta
+    else:
+        gtb = cycle_type(form(Y), seed=seed).generalized()
     match = gentype_matching(gta, gtb)
     if match is None:
         return gta, gtb, None

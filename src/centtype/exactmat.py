@@ -39,9 +39,9 @@ they and the kept chains span V, skipping those already in that span.
 The generator's chain is deg f - 1 matrix-vector products away, and it
 goes into the echelon once: a dependency there means the correction
 changed the order.  Vectors stay payload lists throughout; the Krylov
-basis Q is built from them with `_from_vals`, and the form keeps Q
-(`basis`) next to its inverse (`transform`), so the conjugator between
-two forms is a product of stored matrices and inverts nothing more.
+basis Q is built from them with `_from_vals`, and the form is certified
+by the product A Q = Q F, so computing it inverts nothing.  Only the
+conjugator between two forms inverts a basis, once.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ class Matrix:
     def from_columns(cls, ctx, cols):
         if not cols:
             raise SizeMismatch("matrices must have at least one row and column")
+        if any(len(col) != len(cols[0]) for col in cols):
+            raise SizeMismatch("ragged columns")
         return cls(ctx, [[col[i] for col in cols] for i in range(len(cols[0]))])
 
     # -- shape --
@@ -411,14 +413,14 @@ class _Echelon:
         work, acc = self._reduce(vec)
         ctx = self.ctx
         zero, submul_sparse = ctx.zero.val, ctx._submul_sparse
-        piv = next((i for i, c in enumerate(work) if c != zero), None)
-        if piv is None:
+        nz = [(i, c) for i, c in enumerate(work) if c != zero]
+        if not nz:
             return acc
-        lead = work[piv]
+        piv, lead = nz[0]
         inv = ctx._inv(lead)
         # row_n = work / lead and combo_n = -acc / lead, through the kernel
         row_n, combo_n = {}, {}
-        submul_sparse(row_n, ctx._neg(inv), enumerate(work[piv:], piv))
+        submul_sparse(row_n, ctx._neg(inv), nz)
         submul_sparse(combo_n, inv, acc.items())
         if tag is not None:
             combo_n[tag] = ctx._add(combo_n.get(tag, zero), inv)
@@ -456,13 +458,12 @@ class _Echelon:
 @dataclass(frozen=True)
 class FrobeniusForm:
     """Invariant factors d_1 | d_2 | ... | d_k (monic, increasing
-    divisibility), the block-companion form, a transform with
-    form == transform * A * basis, and its inverse `basis`, whose columns
-    are the Krylov chains of the cyclic decomposition."""
+    divisibility), the block-companion form, and the invertible `basis`,
+    whose columns are the Krylov chains of the cyclic decomposition, with
+    A * basis == basis * form; so form == basis.inverse() * A * basis."""
 
     invariant_factors: tuple
     form: Matrix
-    transform: Matrix
     basis: Matrix
 
 
@@ -518,8 +519,9 @@ def frobenius_form(A):
     """Cyclic decomposition of a square matrix.
 
     The invariant factors come out monic in increasing divisibility
-    order, their companion blocks form `form`, and `transform` conjugates
-    A onto it.
+    order, their companion blocks form `form`, and `basis` carries A onto
+    it: A * basis == basis * form.  The check is that product; no inverse
+    is formed.
     """
     A._require_square()
     ctx = A.ctx
@@ -585,11 +587,13 @@ def frobenius_form(A):
     for _, _, chain in chains:
         cols.extend(chain)
     Q = Matrix._from_vals(ctx, zip(*cols))
-    P = Q.inverse()
     F = block_diag([companion(f) for f in factors])
-    if P * A * Q != F:
+    # the n columns of Q are the vectors `basis` accepted as independent,
+    # and the loop ends only once it holds n of them, so Q is invertible
+    # and A Q = Q F means Q^-1 A Q = F
+    if A * Q != Q * F:
         raise VerificationError("canonical form verification failed")
-    return FrobeniusForm(factors, F, P, Q)
+    return FrobeniusForm(factors, F, Q)
 
 
 def minpoly(A):
@@ -608,11 +612,12 @@ def _form_conjugator(A, fa, B, fb):
     """S with S.inverse() * A * S == B, built from the Frobenius forms fa
     of A and fb of B and checked; None when their invariant factors differ.
 
-    S = fa.basis * fb.transform is a product of two invertible matrices,
-    so A * S == S * B is the whole check."""
+    S = fa.basis * fb.basis.inverse() is a product of two invertible
+    matrices, so A * S == S * B is the whole check.  This is the one place
+    a Krylov basis is inverted."""
     if fa.invariant_factors != fb.invariant_factors:
         return None
-    S = fa.basis * fb.transform
+    S = fa.basis * fb.basis.inverse()
     if A * S != S * B:
         raise VerificationError("conjugator verification failed")
     return S

@@ -342,6 +342,29 @@ def test_no_matrix_is_formed_twice(monkeypatch):
         assert set(formed) <= allowed
 
 
+def test_equal_invariant_factors_are_factored_once(monkeypatch):
+    import centtype.typealg
+
+    factored = []
+    poly_factor = centtype.typealg.poly_factor
+
+    def counted(f, seed=0):
+        factored.append(f)
+        return poly_factor(f, seed=seed)
+
+    monkeypatch.setattr(centtype.typealg, "poly_factor", counted)
+    rng = random.Random(18)
+    X = random_matrix(F5, 4, rng)
+    S = random_invertible(F5, 4, rng)
+    # a conjugate of X has X's invariant factors, so X's type
+    assert centralizers_conjugate(X, S.inverse() * X * S).conjugate
+    assert len(factored) == 1
+    del factored[:]
+    # the same type with different irreducibles: each side is factored
+    assert centralizers_conjugate(companion(Poly(Q, [-2, 0, 1])), companion(Poly(Q, [-8, 0, 1]))).conjugate
+    assert len(factored) == 2
+
+
 def test_wrong_component_witness_is_caught(monkeypatch, tmp_path, capsys):
     import centtype.centkit
     from centtype import VerificationError

@@ -456,6 +456,9 @@ GOLDEN_CASES = [
     # companions of (x^3 + 2x + 1)^3 and (x^3 + 2x^2 + 1)^3: p = r, and q is
     # p's inverse modulo the minimal polynomial, not merely modulo f
     ("centconj_f3", ["centconj", "f3_x.json", "f3_y.json"], 0),
+    # a random 24x24 Q matrix with entries in [-9, 9], drawn row by row from
+    # random.Random(5): the Q Frobenius form at a size where it costs
+    ("mtype_q24", ["mtype", "q24.json"], 0),
 ]
 
 

@@ -199,8 +199,7 @@ def _check_frobenius(A):
         prev = d
     assert sum(d.degree for d in ff.invariant_factors) == A.nrows
     assert ff.form == block_diag([companion(d) for d in ff.invariant_factors])
-    P = ff.transform
-    assert P * A * P.inverse() == ff.form
+    assert ff.basis.inverse() * A * ff.basis == ff.form
     assert ff.invariant_factors[-1] == minpoly(A)
     return ff.invariant_factors
 
@@ -639,7 +638,7 @@ def test_frobenius_conductor_and_lcm_rounds_order_only_unit_vectors(monkeypatch,
     assert len(split_calls) == splits
     assert [str(f) for f in ff.invariant_factors] == factors
     assert [[str(c) for c in col] for col in zip(*ff.basis.rows)] == basis
-    assert ff.transform * A * ff.basis == ff.form
+    assert ff.basis.inverse() * A * ff.basis == ff.form
 
 
 def test_frobenius_refuses_a_generator_chain_that_depends_on_itself(monkeypatch):
@@ -716,8 +715,9 @@ def test_kernel_matches_the_rref_free_column_construction():
                 assert all(e == ctx.zero for e in A.apply(v))
 
 
-def test_frobenius_basis_inverts_the_transform():
-    rng = random.Random(32)
+def _frobenius_cases(rng):
+    """Scalar, cyclic, derogatory and random matrices over every field,
+    each as given and conjugated by a random invertible matrix."""
     for ctx in FIELDS:
         x = Poly.x(ctx)
         c = random_elem(ctx, rng, bound=3)
@@ -726,10 +726,43 @@ def test_frobenius_basis_inverts_the_transform():
         cases.extend(random_matrix(ctx, n, rng, bound=3) for n in (1, 2, 4, 5))
         for M in cases:
             U = random_invertible(ctx, M.nrows, rng, bound=2)
-            for A in (M, U.inverse() * M * U):
-                ff = frobenius_form(A)
-                assert ff.basis * ff.transform == Matrix.identity(ctx, A.nrows)
-                assert ff.transform * A * ff.basis == ff.form
+            yield M
+            yield U.inverse() * M * U
+
+
+def test_frobenius_basis_carries_a_onto_its_form():
+    for A in _frobenius_cases(random.Random(32)):
+        ff = frobenius_form(A)
+        assert A * ff.basis == ff.basis * ff.form
+        assert ff.basis.inverse() * A * ff.basis == ff.form
+
+
+def test_frobenius_form_inverts_nothing(monkeypatch):
+    """The form is checked by A Q = Q F; only the conjugator of a
+    positive pair inverts a basis, once."""
+    from centtype import centralizers_conjugate
+
+    calls = []
+    inverse = Matrix.inverse
+
+    def counted(M):
+        calls.append(M)
+        return inverse(M)
+
+    rng = random.Random(34)
+    cases = list(_frobenius_cases(rng))
+    X = random_matrix(F5, 4, rng)
+    S = random_invertible(F5, 4, rng)
+    Y = S.inverse() * X * S
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    for A in cases:
+        frobenius_form(A)
+    assert calls == []
+    assert centralizers_conjugate(X, Y).conjugate
+    assert len(calls) == 1
+    del calls[:]
+    assert not centralizers_conjugate(X, companion(Poly.x(F5) ** 4)).conjugate
+    assert calls == []
 
 
 def test_form_conjugator_check_catches_a_wrong_basis():
@@ -766,6 +799,10 @@ GUARDS = [
      SizeMismatch, "blocks over different fields"),
     ("evaluate across fields", lambda: mat_eval_poly(Poly(F3, [1, 1]), _M2),
      SizeMismatch, "polynomial and matrix over different fields"),
+    ("columns shorter after the first", lambda: Matrix.from_columns(F5, [[1, 2], [3]]),
+     SizeMismatch, "ragged columns"),
+    ("columns longer after the first", lambda: Matrix.from_columns(F5, [[1], [2, 3]]),
+     SizeMismatch, "ragged columns"),
 ]
 
 
