@@ -56,10 +56,9 @@ from .exactmat import (
     _form_conjugator,
     frobenius_form,
     mat_eval_poly,
-    minpoly,
 )
 from .typealg import _compose_inverse, cycle_type, gentype_matching
-from .upoly import Poly, poly_compose_mod, poly_crt, poly_gcd, poly_xgcd, squarefree_part
+from .upoly import Poly, poly_compose_mod, poly_crt, poly_xgcd
 
 
 # -- centralizer bases --
@@ -135,17 +134,7 @@ def cent_span_equal(X, Y):
     return _span_rref(X.ctx, bx.matrices) == _span_rref(Y.ctx, by.matrices)
 
 
-# -- Jordan-Chevalley decomposition --
-
-
-@dataclass(frozen=True)
-class JCDecomposition:
-    """X = semisimple + nilpotent with both parts polynomial in X;
-    poly evaluates to the semisimple part."""
-
-    semisimple: Matrix
-    nilpotent: Matrix
-    poly: Poly
+# -- witness polynomials --
 
 
 def _newton_root(f, m):
@@ -164,30 +153,6 @@ def _newton_root(f, m):
             )
         z = (z - val * a) % m
     raise VerificationError("Newton iteration failed to stabilize")
-
-
-def jordan_chevalley(X):
-    """Newton iteration for the semisimple part inside K[x]/(minpoly)."""
-    if not X.is_square():
-        raise NotSquare("%dx%d matrix" % X.shape)
-    m = minpoly(X)
-    z = _newton_root(squarefree_part(m), m)
-    S = mat_eval_poly(z, X)
-    N = X - S
-    n = X.nrows
-    if S + N != X:
-        raise VerificationError("parts do not sum back")
-    if S * N != N * S:
-        raise VerificationError("parts do not commute")
-    if not (N**n).is_zero_matrix():
-        raise VerificationError("nilpotent part is not nilpotent")
-    ms = minpoly(S)
-    if poly_gcd(ms, ms.derivative()).degree != 0:
-        raise VerificationError("semisimple part has a repeated factor")
-    return JCDecomposition(semisimple=S, nilpotent=N, poly=z)
-
-
-# -- witness polynomials --
 
 
 def _component_witness(f, lam, g, r):

@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .errors import NotSquare, SingularMatrix, SizeMismatch, VerificationError
+from .errors import CtxMismatch, NotSquare, SingularMatrix, SizeMismatch, VerificationError
 from .exactfield import FieldElem, _power
 from .upoly import Poly, poly_gcd
 
@@ -147,7 +147,9 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if other.shape != self.shape or other.ctx != self.ctx:
+        if other.ctx != self.ctx:
+            raise CtxMismatch("sum over different fields")
+        if other.shape != self.shape:
             raise SizeMismatch("sum of %s and %s matrices" % (self.shape, other.shape))
         add = self.ctx._add
         rows = zip(self._vals, other._vals)
@@ -165,7 +167,7 @@ class Matrix:
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if other.ctx != self.ctx:
-                raise SizeMismatch("product over different fields")
+                raise CtxMismatch("product over different fields")
             if self.ncols != other.nrows:
                 raise SizeMismatch("product of %s and %s" % (self.shape, other.shape))
             ctx = self.ctx
@@ -334,7 +336,7 @@ def block_diag(blocks):
     for b in blocks:
         b._require_square()
         if b.ctx != ctx:
-            raise SizeMismatch("blocks over different fields")
+            raise CtxMismatch("blocks over different fields")
         for i, r in enumerate(b._vals):
             rows[off + i][off : off + b.nrows] = r
         off += b.nrows
@@ -358,7 +360,7 @@ def mat_eval_poly(f, A):
     """f(A), whose columns are the vectors f(A) e_i."""
     A._require_square()
     if f.ctx != A.ctx:
-        raise SizeMismatch("polynomial and matrix over different fields")
+        raise CtxMismatch("polynomial and matrix over different fields")
     n = A.nrows
     cols = [_poly_apply(f, A, _unit_vec(A.ctx, n, i)) for i in range(n)]
     return Matrix._from_vals(A.ctx, zip(*cols))
@@ -594,11 +596,6 @@ def frobenius_form(A):
     if A * Q != Q * F:
         raise VerificationError("canonical form verification failed")
     return FrobeniusForm(factors, F, Q)
-
-
-def minpoly(A):
-    """Minimal polynomial: the largest invariant factor."""
-    return frobenius_form(A).invariant_factors[-1]
 
 
 def similar_conjugator(A, B):

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .errors import CtxMismatch, NotIrreducible, SizeMismatch, VerificationError
 from .exactfield import ExtensionField
-from .exactmat import FrobeniusForm, Matrix, frobenius_form
+from .exactmat import FrobeniusForm, _Echelon, frobenius_form
 from .upoly import (
     Poly,
     is_irreducible,
@@ -258,13 +258,17 @@ def _compose_inverse(p, m):
     """The q of degree < deg m with q(p) = x mod m, or None when 1, p, ...,
     p^(d-1) mod m do not span K[x]/(m): their span is K[p mod m]."""
     K, d = m.ctx, m.degree
-    pad = lambda h: list(h.coeffs) + [K.zero] * (d - 1 - h.degree)
-    cols, acc = [], Poly.one(K)
-    for _ in range(d):
-        cols.append(pad(acc))
+    zero = K.zero.val
+    pad = lambda h: h._vals + (zero,) * (d - 1 - h.degree)
+    # p^i mod m goes in tagged i; once all d are independent they are a
+    # basis, and x mod m is the one combination q(p) of them
+    ech, acc = _Echelon(K, d), Poly.one(K)
+    for i in range(d):
+        if ech.insert(pad(acc), i) is not None:
+            return None
         acc = acc * p % m
-    sol = Matrix.from_columns(K, cols).solve_right(pad(Poly.x(K) % m))
-    return None if sol is None else Poly(K, sol)
+    coeffs = ech.express(pad(Poly.x(K) % m))
+    return Poly._from_vals(K, [coeffs.get(i, zero) for i in range(d)])
 
 
 @lru_cache(maxsize=4096)

@@ -5,15 +5,15 @@ Each suite derives every instance from a single master seed, so runs
 are reproducible and the report is byte-stable.  Failures carry the
 offending inputs verbatim.
 
-All ten suites run through one runner, `_suite`, and supply only a
+All nine suites run through one runner, `_suite`, and supply only a
 task draw and a mathematical check.  A task is the identity of one
 instance, a dict of its "instance" index and whatever the check reads.
 `_worker(check, task)` runs `check(task)`; a check returns None or the
 detail fields of a failure, and an exception becomes an "error" field.
 Every failure record is the identity plus those fields, so `_worker`
-replays it from its identity.  The six seeded suites draw a field (or
-"p"), a 64-bit sub-seed "seed" and, for jc, a "kind" per task, and
-their checks start from `random.Random(task["seed"])`.  main-theorem-f2
+replays it from its identity.  The five seeded suites draw a field (or
+"p") and a 64-bit sub-seed "seed" per task, and their checks start
+from `random.Random(task["seed"])`.  main-theorem-f2
 names a pair by "n", "x" and "y", partition-formulas by its
 "partition", and the permutation oracles by the degree "n" and the
 cycle texts "g" and "h".
@@ -41,7 +41,6 @@ from .centkit import (
     cent_dim,
     cent_span_equal,
     centralizers_conjugate,
-    jordan_chevalley,
     witness_polynomials,
 )
 from .construct import (
@@ -60,7 +59,6 @@ from .exactmat import (
     frobenius_form,
     mat_eval_poly,
     matrix_embed,
-    minpoly,
 )
 from .permcent import (
     CycleLayers,
@@ -80,7 +78,7 @@ from .typealg import (
     green_type,
     partitions_of,
 )
-from .upoly import Poly, squarefree_part
+from .upoly import Poly
 
 
 @dataclass(frozen=True)
@@ -154,17 +152,16 @@ def _suite(check, default_scale, max_scale, draw, seed, scale, jobs):
     return scale, checked, failures
 
 
-def _drawn_tasks(master, count, values=_FIELD_TAGS, key="field", start=0, **extra):
-    """Identities of instances start, start+1, ...: each draws its `key`
-    from `values`, then a sub-seed."""
+def _drawn_tasks(master, count, values=_FIELD_TAGS, key="field"):
+    """Identities of instances 0, 1, ...: each draws its `key` from
+    `values`, then a sub-seed."""
     return [
         {
             "instance": i,
-            **extra,
             key: values[master.randrange(len(values))],
             "seed": master.getrandbits(64),
         }
-        for i in range(start, start + count)
+        for i in range(count)
     ]
 
 
@@ -334,41 +331,6 @@ def _check_witness(task):
     return None
 
 
-# -- jc --
-
-
-def _jc_tasks(master, scale):
-    return _drawn_tasks(master, scale, kind="plain") + _drawn_tasks(
-        master, max(1, scale // 5), start=scale, kind="equivariance"
-    )
-
-
-def _check_jc(task):
-    rng = random.Random(task["seed"])
-    ctx = make_field(task["field"])
-    n = rng.randint(1, 4 if task["field"] == "Q" else 5)
-    m = random_matrix(ctx, n, rng, bound=4)
-    dec = jordan_chevalley(m)
-    s, nil = dec.semisimple, dec.nilpotent
-    ok = (
-        s + nil == m
-        and s * nil == nil * s
-        and (nil**n).is_zero_matrix()
-        and squarefree_part(minpoly(s)) == minpoly(s).monic()
-        and mat_eval_poly(dec.poly, m) == s
-    )
-    if ok and task["kind"] == "equivariance":
-        p = random_invertible(ctx, n, rng, 2)
-        moved = jordan_chevalley(p * m * p.inverse())
-        ok = (
-            moved.semisimple == p * s * p.inverse()
-            and moved.nilpotent == p * nil * p.inverse()
-        )
-    if not ok:
-        return {"matrix": matrix_to_json(m)}
-    return None
-
-
 # -- partition-formulas --
 
 
@@ -482,7 +444,6 @@ _SUITES = {
         functools.partial(_oracle_tasks, "A"),
     ),
     "partition-formulas": functools.partial(_suite, _check_partition, 12, 40, _partition_tasks),
-    "jc": functools.partial(_suite, _check_jc, 100, 10000, _jc_tasks),
     "extension-separable": functools.partial(
         _suite,
         _check_extsep,

@@ -86,12 +86,6 @@ def test_06_fixture_pairs():
     print("acceptance %-20s PASS (4 fixed verdicts)" % "fixture-pairs")
 
 
-def test_07_jc():
-    rep = run_suite("jc", seed=0)
-    report("jc", rep)
-    assert rep.instances_checked == 120  # 100 decompositions + 20 equivariance pairs
-
-
 def test_08_partition_formulas():
     rep = run_suite("partition-formulas", seed=0)
     report("partition-formulas", rep)

@@ -24,13 +24,12 @@ from centtype import (
     cycle_type,
     extension_field,
     frobenius_form,
-    jordan_chevalley,
     mat_eval_poly,
-    minpoly,
+    poly_compose_mod,
+    poly_gcd,
     prime_field,
     rationals,
     similar_conjugator,
-    squarefree_part,
     witness_polynomials,
 )
 from centtype.construct import (
@@ -39,6 +38,7 @@ from centtype.construct import (
     random_matrix,
     random_partition,
 )
+from centtype.exactfield import random_elem
 from centtype.serialize import matrix_from_json
 
 Q = rationals()
@@ -169,51 +169,47 @@ def test_cent_span_equal_basics():
     assert not cent_span_equal(A, Matrix.identity(F3, 2))
 
 
-def test_jordan_chevalley_fixture():
-    # [[1,1],[0,1]] = I + N
-    A = Matrix(Q, [[1, 1], [0, 1]])
-    dec = jordan_chevalley(A)
-    assert dec.semisimple == Matrix.identity(Q, 2)
-    assert dec.nilpotent == Matrix(Q, [[0, 1], [0, 0]])
-    assert mat_eval_poly(dec.poly, A) == dec.semisimple
+def test_newton_root_lifts_x_to_the_root_of_f_modulo_a_power(monkeypatch):
+    """For squarefree f and m = f^k, the root z of f in K[x]/(m) with
+    z = x mod f; k >= 3 takes more than one Newton step."""
+    from centtype import centkit
 
-
-def test_jordan_chevalley_random():
-    rng = random.Random(44)
-    for ctx in (Q, F3, F5):
+    steps = []
+    xgcd = centkit.poly_xgcd
+    monkeypatch.setattr(centkit, "poly_xgcd", lambda a, b: steps.append(a) or xgcd(a, b))
+    rng = random.Random(46)
+    multi = 0
+    for ctx in (Q, F2, F3, F5, F9):
+        x = Poly.x(ctx)
         for _ in range(12):
-            n = rng.randrange(1, 5)
-            A = random_matrix(ctx, n, rng)
-            dec = jordan_chevalley(A)
-            S, N = dec.semisimple, dec.nilpotent
-            assert S + N == A
-            assert S * N == N * S
-            assert (N**n).is_zero_matrix()
-            ms = minpoly(S)
-            assert squarefree_part(ms) == ms.monic()
-            assert mat_eval_poly(dec.poly, A) == S
+            while True:
+                d = rng.randint(1, 3)
+                f = Poly(ctx, [random_elem(ctx, rng, 3) for _ in range(d)] + [ctx.one])
+                if poly_gcd(f, f.derivative()).degree == 0:
+                    break
+            for k in range(1, 5):
+                m = f**k
+                steps.clear()
+                z = centkit._newton_root(f, m)
+                assert z.degree < m.degree
+                assert poly_compose_mod(f, z, m).is_zero()
+                assert ((z - x) % f).is_zero()
+                multi += len(steps) > 1
+    assert multi >= 40
+    # x^2 - 2 over Q: one step lifts the root to f^2, a second to f^4
+    f = Poly(Q, [-2, 0, 1])
+    steps.clear()
+    assert poly_compose_mod(f, centkit._newton_root(f, f**4), f**4).is_zero()
+    assert len(steps) == 2
 
 
-def test_jordan_chevalley_equivariance():
-    rng = random.Random(45)
-    for _ in range(8):
-        A = random_matrix(Q, 3, rng, bound=4)
-        U = random_invertible(Q, 3, rng, bound=3)
-        dec = jordan_chevalley(A)
-        decU = jordan_chevalley(U * A * U.inverse())
-        assert decU.semisimple == U * dec.semisimple * U.inverse()
-        assert decU.nilpotent == U * dec.nilpotent * U.inverse()
+@pytest.mark.parametrize("ctx", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_newton_root_refuses_a_repeated_factor(ctx):
+    from centtype.centkit import _newton_root
 
-
-def test_jordan_chevalley_inseparable_rejected():
-    # over F2(t) this would fail; over F2 itself the interesting failure
-    # is a minimal polynomial whose squarefree part has vanishing
-    # derivative-gcd unit. x^2 over F2 is fine (x is squarefree), so
-    # check that a plain nilpotent works and stays exact.
-    A = Matrix(F2, [[0, 1], [0, 0]])
-    dec = jordan_chevalley(A)
-    assert dec.semisimple.is_zero_matrix()
-    assert dec.nilpotent == A
+    x2 = Poly(ctx, [0, 0, 1])
+    with pytest.raises(NonSquarefreeDerivativeUnit, match="not invertible"):
+        _newton_root(x2, x2**2)
 
 
 def test_witness_polynomials_roundtrip():
@@ -512,7 +508,6 @@ _PAIR = "conjugacy needs square matrices of equal size"
 
 GUARDS = [
     ("centralizer_basis non-square", lambda: centralizer_basis(_RECT), NotSquare, "2x3 matrix"),
-    ("jordan_chevalley non-square", lambda: jordan_chevalley(_RECT), NotSquare, "2x3 matrix"),
     ("witnesses across fields", lambda: witness_polynomials(_ONE2, _ONE3),
      CtxMismatch, "witnesses over different fields"),
     ("witnesses across shapes", lambda: witness_polynomials(_ONE2, Matrix.identity(F2, 2)),

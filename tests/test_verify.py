@@ -23,7 +23,6 @@ def test_suite_registry():
         "sn-oracle",
         "an-oracle",
         "partition-formulas",
-        "jc",
         "extension-separable",
     }
     with pytest.raises(UnknownSuite):
@@ -211,7 +210,6 @@ _REPLAY_CASES = [
         lambda x, y, seed=0: None,
         True,
     ),
-    ("jc", "_check_jc", ("kind", "field"), "squarefree_part", lambda f: None, False),
     ("extension-separable", "_check_extsep", ("p",), "cycle_type", _raise, True),
 ]
 
@@ -221,7 +219,7 @@ _REPLAY_CASES = [
 )
 def test_seeded_failures_replay_from_their_record(monkeypatch, suite, check, keys, name, fake, errors):
     """A seeded suite's failure names its instance, its field (or prime),
-    its sub-seed (and kind), and running the suite's worker on those alone
+    its sub-seed, and running the suite's worker on those alone
     gives back the same record."""
     import centtype.verify as verify
 
