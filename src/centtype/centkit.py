@@ -281,8 +281,9 @@ def _gl_with_inverses(p, n):
 def cent_conjugate_bruteforce(X, Y):
     """Search all of GL_n(F_p) for U with U^-1 Cent(X) U = Cent(Y).
 
-    Independent of the type machinery; guards against instances with
-    more than 2^25 candidate matrices.
+    Independent of the type machinery.  It keeps every (U, U^-1) pair of
+    GL_n(F_p), about 1.4 KB each, so instances with more than 2^16
+    candidate matrices are refused before any is enumerated.
     """
     if X.ctx != Y.ctx:
         raise CtxMismatch("conjugacy over different fields")
@@ -291,7 +292,7 @@ def cent_conjugate_bruteforce(X, Y):
     if not X.is_square() or X.shape != Y.shape:
         raise SizeMismatch("conjugacy needs square matrices of equal size")
     p, n = X.ctx.p, X.nrows
-    if p ** (n * n) > 1 << 25:
+    if p ** (n * n) > 1 << 16:
         raise TooLarge("GL_%d(F_%d) enumeration is out of range" % (n, p))
     bx = centralizer_basis(X)
     by = centralizer_basis(Y)

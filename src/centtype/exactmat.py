@@ -18,24 +18,23 @@ elimination loop) and of `_poly_apply` through `ctx._submul` and
 computed here are built by `Matrix._from_vals`, which neither coerces
 nor boxes, while the public constructor and `Matrix.apply` coerce and
 check what they are given.  `Matrix.rref`, `Matrix.det` and `_kernel`
-insert the rows into one echelon.  `_kernel` (behind `kernel`) reads the
-null space straight off the echelon's sparse reduced rows, one vector
-per free column, without building the dense reduced matrix; `inverse`,
-`solve_right` and `rank` read `Matrix.rref`.
+insert the rows into one echelon of write-once rows; `det` reads its
+pivots and leads, and `rref`, `_kernel` (behind `kernel`) and, through
+`rref`, `inverse`, `solve_right` and `rank` read its `reduced` form.
 
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
 polynomial (combining candidate vectors through a coprime lcm split),
 correct it to an honest complement generator, and append its Krylov
 chain to the basis.  Dependency bookkeeping runs through `_Echelon`,
-which remembers how every reduced row decomposes over the tracked
+which remembers how every stored row decomposes over the tracked
 inserts.  Its polynomial steps need only vectors f(A) u, computed by
 Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
 One echelon holds the kept Krylov vectors for the whole call, tagged by
-chain and power; each round's scan and each `_coset_order` call start
-from a copy of its rows (`_Echelon.span`), and the conductor correction
-reads chain coefficients off it.  A round scans unit vectors only until
-they and the kept chains span V, skipping those already in that span.
+chain and power; each round's scan and each `_coset_order` call share
+its rows (`_Echelon.span`), and the conductor correction reads chain
+coefficients off it.  A round scans unit vectors only until they and the
+kept chains span V; each is reduced once and skipped if in that span.
 The generator's chain is deg f - 1 matrix-vector products away, and it
 goes into the echelon once: a dependency there means the correction
 changed the order.  Vectors stay payload lists throughout; the Krylov
@@ -229,13 +228,11 @@ class Matrix:
         ech = _Echelon(self.ctx, self.ncols)
         for r in self._vals:
             ech.insert(r)
-        stored = sorted(ech.rows, key=lambda e: e[0])
+        stored = sorted(ech.reduced().items())
         zero = self.ctx.zero.val
-        rows = [[zero] * self.ncols for _ in range(self.nrows)]
-        for dense, (_, row, _) in zip(rows, stored):
-            for i, v in row.items():
-                dense[i] = v
-        return Matrix._from_vals(self.ctx, rows), tuple(p for p, _, _ in stored)
+        rows = [[row.get(j, zero) for j in range(self.ncols)] for _, row in stored]
+        rows += [[zero] * self.ncols] * (self.nrows - len(stored))
+        return Matrix._from_vals(self.ctx, rows), tuple(p for p, _ in stored)
 
     def rank(self):
         return len(self.rref()[1])
@@ -275,17 +272,16 @@ class Matrix:
 
     def _kernel(self):
         """Basis of the right null space as payload lists, one per free
-        column, read off the echelon rows: the vector of free column j is
+        column, read off the reduced rows: the vector of free column j is
         e_j minus, at each row's pivot, that row's entry in column j."""
         ctx = self.ctx
         ech = _Echelon(ctx, self.ncols)
         for r in self._vals:
             ech.insert(r)
-        neg = ctx._neg
-        pivots = {p for p, _, _ in ech.rows}
-        free = {j: _unit_vec(ctx, self.ncols, j) for j in range(self.ncols) if j not in pivots}
-        # stored rows are reduced, so every column but the pivot is free
-        for p, row, _ in ech.rows:
+        neg, red = ctx._neg, ech.reduced()
+        free = {j: _unit_vec(ctx, self.ncols, j) for j in range(self.ncols) if j not in red}
+        # the rows are reduced, so every column but the pivot is free
+        for p, row in red.items():
             for j, v in row.items():
                 if j != p:
                     free[j][p] = neg(v)
@@ -372,18 +368,17 @@ def matrix_embed(M, L):
 
 
 class _Echelon:
-    """Row space in reduced echelon form over raw field payloads, with
-    dependency bookkeeping.  This is the package's one elimination loop.
+    """Row space in echelon form over raw field payloads, with dependency
+    bookkeeping: the package's one elimination loop.
 
-    Vectors go in as sequences of payloads (a `Matrix`'s `_vals` rows or
-    the payload vectors of `frobenius_form`).  Untracked inserts, and the
-    rows a `span` copy starts from, are seeds; tracked inserts carry a
-    tag.  Every stored row is kept sparse as {column: payload}, is
-    normalised to 1 at its pivot, and remembers its expression over the
-    tagged originals modulo the seed span, so `express` can decompose a
-    vector over the tracked inserts.
-    `leads` holds, in insertion order, each independent insert's pivot
-    payload before normalisation.
+    Vectors go in as payload sequences (a `Matrix`'s `_vals` rows or the
+    vectors of `frobenius_form`).  Untracked inserts, and the rows a
+    `span` starts from, are seeds; tracked inserts carry a tag.  Rows are
+    write-once: each is kept sparse as {column: payload}, normalised to 1
+    at its pivot and zero at every earlier pivot, and remembers its
+    expression over the tagged originals modulo the seed span, for
+    `express`.  `leads` holds, in insertion order, each independent
+    insert's pivot payload before normalisation.
     """
 
     def __init__(self, ctx, width):
@@ -426,23 +421,28 @@ class _Echelon:
         submul_sparse(combo_n, inv, acc.items())
         if tag is not None:
             combo_n[tag] = ctx._add(combo_n.get(tag, zero), inv)
-        for _, row, combo in self.rows:
-            c = row.get(piv)
-            if c is None:
-                continue
-            submul_sparse(row, c, row_n.items())
-            if combo_n:
-                submul_sparse(combo, c, combo_n.items())
         self.rows.append((piv, row_n, combo_n))
         self.leads.append(lead)
         return None
 
     def span(self):
         """A new echelon with the same rows and no bookkeeping, so its rows
-        act as seeds; inserts into it leave this one as it is."""
+        act as seeds; it shares the write-once row dicts."""
         ech = _Echelon(self.ctx, self.width)
-        ech.rows = [(p, dict(row), {}) for p, row, _ in self.rows]
+        ech.rows = [(p, row, {}) for p, row, _ in self.rows]
         return ech
+
+    def reduced(self):
+        """The reduced echelon form as {pivot: {column: payload}}.  Later
+        pivots are cleared last row first, so only reduced rows, which are
+        zero at every other pivot, are subtracted."""
+        submul_sparse, out = self.ctx._submul_sparse, {}
+        for p, row, _ in reversed(self.rows):
+            red = dict(row)
+            for c, later in [(c, out[j]) for j, c in row.items() if j in out]:
+                submul_sparse(red, c, later.items())
+            out[p] = red
+        return out
 
     def express(self, vec):
         """{tag: coeff} with vec == sum(coeff * original) modulo seeds,
@@ -543,10 +543,10 @@ def frobenius_form(A):
             if len(scanned.rows) == n:
                 break
             e = _unit_vec(ctx, n, i)
-            if scanned.express(e) is not None:
+            if scanned.insert(e) is not None:
                 continue
             g, chain = _coset_order(A, e, basis)
-            for v in chain:
+            for v in chain[1:]:  # chain[0] is e
                 scanned.insert(v)
             if u is None:
                 u, f = e, g

@@ -528,6 +528,10 @@ GUARDS = [
      SizeMismatch, _PAIR),
     ("brute force past 2^25", lambda: cent_conjugate_bruteforce(*[Matrix.identity(F2, 6)] * 2),
      TooLarge, "GL_6(F_2) enumeration is out of range"),
+    ("brute force 3x3 over F5", lambda: cent_conjugate_bruteforce(*[Matrix.identity(F5, 3)] * 2),
+     TooLarge, "GL_3(F_5) enumeration is out of range"),
+    ("brute force 5x5 over F2", lambda: cent_conjugate_bruteforce(*[Matrix.identity(F2, 5)] * 2),
+     TooLarge, "GL_5(F_2) enumeration is out of range"),
 ]
 
 

@@ -1,4 +1,5 @@
 import collections
+import copy
 import itertools
 import os
 import random
@@ -590,15 +591,20 @@ def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
     """The unit-vector scan skips vectors inside the span already
     reached and stops when that span is everything, and the generator's
     chain is built without `_coset_order`: on a companion matrix, one
-    `_coset_order` call for one scanned vector."""
+    `_coset_order` call for one scanned vector.  Each scanned unit vector
+    is reduced once, by its insert into the scan's echelon."""
     from centtype import exactmat
 
-    calls = []
-    orig = exactmat._coset_order
+    calls, reductions = [], []
+    orig, reduce = exactmat._coset_order, exactmat._Echelon._reduce
 
     def counting(*args):
         calls.append(1)
         return orig(*args)
+
+    def counting_reduce(self, vec):
+        reductions.append(1)
+        return reduce(self, vec)
 
     monkeypatch.setattr(exactmat, "_coset_order", counting)
     x = Poly.x(F5)
@@ -608,8 +614,13 @@ def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
     del calls[:]
     d1 = x + 1
     M = block_diag([companion(d1), companion(d1 * f)])
+    monkeypatch.setattr(exactmat._Echelon, "_reduce", counting_reduce)
     assert frobenius_form(M).invariant_factors == (d1, d1 * f)
     assert len(calls) == 3
+    # 12 basis inserts, 2 conductor expressions, 16 inserts in the three
+    # `_coset_order` calls and 13 scan inserts: 3 unit vectors, which are
+    # not also expressed first, and 10 later chain vectors
+    assert len(reductions) == 43
 
 
 @pytest.mark.parametrize(
@@ -668,18 +679,38 @@ def test_frobenius_refuses_a_generator_chain_that_depends_on_itself(monkeypatch)
         frobenius_form(companion(x**3 + 2 * x + 1))
 
 
-def test_echelon_span_copies_the_rows_without_bookkeeping():
-    ech = _Echelon(F5, 3)
-    for t, v in enumerate(([1, 2, 0], [0, 1, 4])):
-        ech.insert(v, tag=t)
-    rows = [(p, dict(row), dict(combo)) for p, row, combo in ech.rows]
+def test_echelon_span_shares_the_write_once_rows_without_bookkeeping():
+    """A span holds the parent's row objects with no bookkeeping, and no
+    stored row, the parent's or the span's, is written after its insert,
+    whatever is inserted into either echelon or read off `reduced`."""
+    stored = []  # (stored row, deep copy taken at its insert)
+
+    def insert(ech, vec, tag=None):
+        dep = ech.insert(vec, tag=tag)
+        if dep is None:
+            stored.append((ech.rows[-1], copy.deepcopy(ech.rows[-1])))
+        return dep
+
+    ech = _Echelon(F5, 4)
+    for t, v in enumerate(([1, 2, 0, 0], [0, 1, 4, 0])):
+        assert insert(ech, v, tag=t) is None
     span = ech.span()
-    assert [(p, row) for p, row, _ in span.rows] == [(p, row) for p, row, _ in rows]
-    assert span.express([1, 3, 4]) == {}
-    assert ech.express([1, 3, 4]) == {0: 1, 1: 1}
-    assert span.insert([0, 0, 1], tag="new") is None
-    assert span.insert([3, 1, 2], tag="dep") == {"new": 2}
-    assert ech.rows == rows
+    assert all(s[1] is e[1] for s, e in zip(span.rows, ech.rows))
+    assert [(p, combo) for p, _, combo in span.rows] == [(0, {}), (1, {})]
+    assert span.express([1, 3, 4, 0]) == {}
+    assert ech.express([1, 3, 4, 0]) == {0: 1, 1: 1}
+    assert insert(span, [0, 0, 1, 0], tag="new") is None
+    assert insert(span, [3, 1, 2, 0], tag="dep") == {"new": 2}
+    # the second shared row is nonzero at column 2, which is a pivot of
+    # both echelons from here on; a reduced form would clear it there
+    assert insert(ech, [0, 0, 2, 1]) is None
+    assert insert(ech, [0, 1, 0, 0], tag=2) is None
+    assert insert(span, [1, 1, 1, 1], tag="late") is None
+    assert ech.express([1, 3, 4, 0]) == {0: 1, 1: 1}
+    assert ech.reduced() == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}}
+    assert ech.reduced() == span.reduced()
+    assert len(stored) == 6
+    assert all(row == snapshot for row, snapshot in stored)
 
 
 # -- kernels read off the echelon, and the stored Krylov basis --
