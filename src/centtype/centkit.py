@@ -264,7 +264,9 @@ def centralizers_conjugate(X, Y, seed=0):
 # -- brute-force oracle over small prime fields --
 
 
-@lru_cache(maxsize=None)
+# one group at a time: GL_4(F2) alone holds about 28 MB, and callers
+# (the main-theorem-f2 suite, the tests) go through one size at a time
+@lru_cache(maxsize=1)
 def _gl_with_inverses(p, n):
     ctx = prime_field(p)
     out = []

@@ -25,22 +25,21 @@ pivots and leads, and `rref`, `_kernel` (behind `kernel`) and, through
 The canonical form is built by cyclic decomposition: repeatedly find a
 vector whose order in the quotient module V/Z is the quotient's minimal
 polynomial (combining candidate vectors through a coprime lcm split),
-correct it to an honest complement generator, and append its Krylov
-chain to the basis.  Dependency bookkeeping runs through `_Echelon`,
-which remembers how every stored row decomposes over the tracked
-inserts.  Its polynomial steps need only vectors f(A) u, computed by
-Horner's rule on vectors (`_poly_apply`), which `mat_eval_poly` reuses.
-One echelon holds the kept Krylov vectors for the whole call, tagged by
-chain and power; each round's scan and each `_coset_order` call share
-its rows (`_Echelon.span`), and the conductor correction reads chain
-coefficients off it.  A round scans unit vectors only until they and the
-kept chains span V; each is reduced once and skipped if in that span.
-The generator's chain is deg f - 1 matrix-vector products away, and it
-goes into the echelon once: a dependency there means the correction
-changed the order.  Vectors stay payload lists throughout; the Krylov
-basis Q is built from them with `_from_vals`, and the form is certified
-by the product A Q = Q F, so computing it inverts nothing.  Only the
-conjugator between two forms inverts a basis, once.
+correct it to an honest complement generator, and keep its Krylov chain.
+`_coset_order` inserts u, Au, ... into a `span` of the kept chains'
+echelon, tagged by chain and power, until one is dependent; that
+dependency gives the order f and, over the kept chains, f(A)u, which the
+conductor correction reads.  The echelon that found the generator's
+order is kept for the next round, so each chain is built and reduced
+once.  Only a generator that the lcm split or the correction changed has
+its order found again, and a correction must leave that order as it is.
+A round scans unit vectors only until they and the kept chains span V;
+each is reduced once and skipped if in that span.  Polynomial steps need
+only vectors f(A)u, computed by Horner's rule (`_poly_apply`), which
+`mat_eval_poly` reuses.  Vectors stay payload lists throughout; the
+Krylov basis Q is built from them with `_from_vals`, and the form is
+certified by the product A Q = Q F, so computing it inverts nothing.
+Only the conjugator between two forms inverts a basis, once.
 """
 
 from __future__ import annotations
@@ -372,13 +371,13 @@ class _Echelon:
     bookkeeping: the package's one elimination loop.
 
     Vectors go in as payload sequences (a `Matrix`'s `_vals` rows or the
-    vectors of `frobenius_form`).  Untracked inserts, and the rows a
-    `span` starts from, are seeds; tracked inserts carry a tag.  Rows are
+    vectors of `frobenius_form`), with a tag or without.  Rows are
     write-once: each is kept sparse as {column: payload}, normalised to 1
     at its pivot and zero at every earlier pivot, and remembers its
-    expression over the tagged originals modulo the seed span, for
-    `express`.  `leads` holds, in insertion order, each independent
-    insert's pivot payload before normalisation.
+    expression over the tagged inserts modulo the untagged ones, from
+    which `insert` builds a dependent vector's.  `leads` holds, in
+    insertion order, each independent insert's pivot payload before
+    normalisation.
     """
 
     def __init__(self, ctx, width):
@@ -387,7 +386,10 @@ class _Echelon:
         self.rows = []  # (pivot index, {column: payload}, {tag: coeff})
         self.leads = []
 
-    def _reduce(self, vec):
+    def insert(self, vec, tag=None):
+        """Add a vector.  Returns None if independent, else the
+        dependency {tag: coeff}, with no coeff zero, such that vec ==
+        sum(coeff * original) modulo the untagged inserts."""
         work = list(vec)
         if len(work) != self.width:
             raise SizeMismatch("vector of length %d in width-%d echelon" % (len(work), self.width))
@@ -401,15 +403,6 @@ class _Echelon:
             submul(work, c, row.items())
             if combo:
                 submul_sparse(acc, neg(c), combo.items())
-        return work, acc
-
-    def insert(self, vec, tag=None):
-        """Add a vector.  Returns None if independent, else the
-        dependency {tag: coeff} with vec == sum(coeff * original) modulo
-        the seed span."""
-        work, acc = self._reduce(vec)
-        ctx = self.ctx
-        zero, submul_sparse = ctx.zero.val, ctx._submul_sparse
         nz = [(i, c) for i, c in enumerate(work) if c != zero]
         if not nz:
             return acc
@@ -417,7 +410,7 @@ class _Echelon:
         inv = ctx._inv(lead)
         # row_n = work / lead and combo_n = -acc / lead, through the kernel
         row_n, combo_n = {}, {}
-        submul_sparse(row_n, ctx._neg(inv), nz)
+        submul_sparse(row_n, neg(inv), nz)
         submul_sparse(combo_n, inv, acc.items())
         if tag is not None:
             combo_n[tag] = ctx._add(combo_n.get(tag, zero), inv)
@@ -426,10 +419,11 @@ class _Echelon:
         return None
 
     def span(self):
-        """A new echelon with the same rows and no bookkeeping, so its rows
-        act as seeds; it shares the write-once row dicts."""
+        """A new echelon with the same rows, bookkeeping and leads.  It
+        shares the write-once rows and copies only the lists holding them,
+        so an insert into either leaves the other as it was."""
         ech = _Echelon(self.ctx, self.width)
-        ech.rows = [(p, row, {}) for p, row, _ in self.rows]
+        ech.rows, ech.leads = list(self.rows), list(self.leads)
         return ech
 
     def reduced(self):
@@ -443,15 +437,6 @@ class _Echelon:
                 submul_sparse(red, c, later.items())
             out[p] = red
         return out
-
-    def express(self, vec):
-        """{tag: coeff} with vec == sum(coeff * original) modulo seeds,
-        or None when vec is outside the stored span."""
-        work, acc = self._reduce(vec)
-        zero = self.ctx.zero.val
-        if any(c != zero for c in work):
-            return None
-        return acc
 
 
 # -- rational canonical form --
@@ -476,29 +461,34 @@ def _unit_vec(ctx, n, i):
     return v
 
 
-def _coset_order(A, u, basis):
+def _coset_order(A, u, basis, tag):
     """Order of the coset of the payload vector u in V / span(basis) as a
     module over K[x], for an `_Echelon` basis, which stays as it is.
 
-    Returns (f, chain): f monic with f(A)u in the span, chain the Krylov
-    payload vectors u, Au, ..., A^(deg f - 1) u.
+    Returns (f, chain, ech, rest): f monic with f(A)u in the span; chain
+    the Krylov payload vectors u, Au, ..., A^(deg f - 1) u; ech a `span`
+    of basis with A^j u inserted tagged (tag, j); and rest the {tag: coeff}
+    expression of f(A)u over the tagged inserts of basis.  The dependency
+    that ends the chain is split into f's coefficients and rest.
     """
     ctx = A.ctx
     ech = basis.span()
     chain = []
     vec = u
-    k = 0
     while True:
-        dep = ech.insert(vec, tag=k)
+        dep = ech.insert(vec, tag=(tag, len(chain)))
         if dep is not None:
-            coeffs = [ctx.zero.val] * (k + 1)
-            for j, c in dep.items():
-                coeffs[j] = ctx._neg(c)
-            coeffs[k] = ctx.one.val
-            return Poly._from_vals(ctx, coeffs), chain
+            break
         chain.append(vec)
         vec = ctx._matvec(A._vals, vec)
-        k += 1
+    coeffs = [ctx.zero.val] * len(chain) + [ctx.one.val]
+    rest = {}
+    for t, c in dep.items():
+        if t[0] == tag:
+            coeffs[t[1]] = ctx._neg(c)
+        else:
+            rest[t] = c
+    return Poly._from_vals(ctx, coeffs), chain, ech, rest
 
 
 def _lcm_coprime_split(f, g):
@@ -533,7 +523,8 @@ def frobenius_form(A):
     # the kept Krylov vectors, A^j of the generator of chains[ci] tagged (ci, j)
     basis = _Echelon(ctx, n)
     while len(basis.rows) < n:
-        u, f = None, None
+        k = len(chains)
+        u = f = found = None  # found: `_coset_order` of u, None once u is combined
         # span of the kept chains and of the Krylov chains of the unit
         # vectors scanned this round: a unit vector inside it lies in the
         # module the scanned ones generate modulo the kept chains, so its
@@ -545,40 +536,44 @@ def frobenius_form(A):
             e = _unit_vec(ctx, n, i)
             if scanned.insert(e) is not None:
                 continue
-            g, chain = _coset_order(A, e, basis)
+            order = _coset_order(A, e, basis, k)
+            g, chain = order[:2]
+            if u is None:
+                # its echelon holds the kept chains and e's chain already
+                u, f, found, scanned = e, g, order, order[2].span()
+                continue
             for v in chain[1:]:  # chain[0] is e
                 scanned.insert(v)
-            if u is None:
-                u, f = e, g
-                continue
             if (f % g).is_zero():
                 continue
             if (g % f).is_zero():
-                u, f = e, g
+                u, f, found = e, g, order
                 continue
             f1, g1 = _lcm_coprime_split(f, g)
             pair = zip(_poly_apply(f // f1, A, u), _poly_apply(g // g1, A, e))
             u = [ctx._add(a, b) for a, b in pair]
-            f = f1 * g1
-        expr = basis.express(_poly_apply(f, A, u))
-        if expr is None:
-            raise VerificationError("conductor image escaped the accumulated span")
-        for ci, (v, _, kry) in enumerate(chains):
-            gi = Poly._from_vals(ctx, [expr.get((ci, j), zero) for j in range(len(kry))])
-            if gi.is_zero():
-                continue
-            q, r = divmod(gi, f)
-            if not r.is_zero():
-                raise VerificationError("conductor fails to divide a chain coefficient")
-            u = [ctx._sub(a, b) for a, b in zip(u, _poly_apply(q, A, v))]
-        # f(A) u = 0 now, so a chain of deg f vectors independent of the
-        # kept ones makes f the order of u
-        chain = [u]
-        while len(chain) < f.degree:
-            chain.append(ctx._matvec(A._vals, chain[-1]))
-        for j, v in enumerate(chain):
-            if basis.insert(v, tag=(len(chains), j)) is not None:
+            f, found = f1 * g1, None
+        if found is None:
+            found = _coset_order(A, u, basis, k)
+            if found[0] != f:
+                raise VerificationError("combined generator changed order")
+        _, chain, ech, rest = found
+        # rest is f(A)u = sum of g_ci(A) v_ci over the kept generators v_ci;
+        # the conductor f divides each g_ci, and taking (g_ci / f)(A) v_ci
+        # off u leaves u's coset alone and makes f(A)u = 0
+        if rest:
+            for ci, (v, _, kry) in enumerate(chains):
+                gi = Poly._from_vals(ctx, [rest.get((ci, j), zero) for j in range(len(kry))])
+                if gi.is_zero():
+                    continue
+                q, r = divmod(gi, f)
+                if not r.is_zero():
+                    raise VerificationError("conductor fails to divide a chain coefficient")
+                u = [ctx._sub(a, b) for a, b in zip(u, _poly_apply(q, A, v))]
+            g, chain, ech, rest = _coset_order(A, u, basis, k)
+            if g != f or rest:
                 raise VerificationError("corrected generator changed order")
+        basis = ech
         chains.append((u, f, chain))
     chains.reverse()
     factors = tuple(f for _, f, _ in chains)
@@ -593,7 +588,7 @@ def frobenius_form(A):
     # the n columns of Q are the vectors `basis` accepted as independent,
     # and the loop ends only once it holds n of them, so Q is invertible
     # and A Q = Q F means Q^-1 A Q = F
-    if A * Q != Q * F:
+    if F.nrows != n or A * Q != Q * F:
         raise VerificationError("canonical form verification failed")
     return FrobeniusForm(factors, F, Q)
 

@@ -260,14 +260,16 @@ def _compose_inverse(p, m):
     K, d = m.ctx, m.degree
     zero = K.zero.val
     pad = lambda h: h._vals + (zero,) * (d - 1 - h.degree)
-    # p^i mod m goes in tagged i; once all d are independent they are a
-    # basis, and x mod m is the one combination q(p) of them
+    # p^i mod m goes in tagged i; once all d are independent they span
+    # K[x]/(m), and inserting x mod m returns the one combination q(p)
     ech, acc = _Echelon(K, d), Poly.one(K)
     for i in range(d):
         if ech.insert(pad(acc), i) is not None:
             return None
         acc = acc * p % m
-    coeffs = ech.express(pad(Poly.x(K) % m))
+    coeffs = ech.insert(pad(Poly.x(K) % m))
+    if coeffs is None:
+        raise VerificationError("x mod m lies outside the span of d independent powers")
     return Poly._from_vals(K, [coeffs.get(i, zero) for i in range(d)])
 
 

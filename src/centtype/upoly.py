@@ -789,7 +789,7 @@ def _factor_trager(f):
                     for i, v in enumerate(c):
                         rows[a * k + i][col] = v
                     c = L._mul(c, y.val)
-        N, chain = _coset_order(Matrix._from_vals(K, rows), e0, empty)
+        N, chain, _, _ = _coset_order(Matrix._from_vals(K, rows), e0, empty, 0)
         if len(chain) == D and poly_gcd(N, N.derivative()).degree == 0:
             break
     else:

@@ -156,6 +156,19 @@ def test_cent_conjugate_bruteforce_agreement():
             assert cent_conjugate_bruteforce(X, Y) == centralizers_conjugate(X, Y).conjugate
 
 
+def test_brute_force_keeps_only_the_last_group_it_enumerated():
+    from centtype.centkit import _gl_with_inverses
+
+    _gl_with_inverses.cache_clear()
+    for n in (2, 3):
+        X = Matrix.identity(F2, n)
+        assert cent_conjugate_bruteforce(X, X)
+    info = _gl_with_inverses.cache_info()
+    assert (info.currsize, info.misses) == (1, 2)
+    assert len(_gl_with_inverses(2, 3)) == 168  # |GL_3(F2)|, from the cache
+    assert _gl_with_inverses.cache_info().hits == info.hits + 1
+
+
 def test_cent_span_equal_basics():
     rng = random.Random(30)
     A = random_matrix(F3, 3, rng)

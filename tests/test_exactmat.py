@@ -1,5 +1,6 @@
 import collections
 import copy
+import hashlib
 import itertools
 import os
 import random
@@ -26,7 +27,7 @@ from centtype import (
     prime_field,
     rationals,
 )
-from centtype.construct import random_elem, random_invertible, random_matrix
+from centtype.construct import random_elem, random_invertible, random_matrix, random_monic
 from centtype.exactfield import PrimeField
 from centtype.exactmat import _Echelon
 
@@ -364,6 +365,7 @@ def test_echelon_dependencies_rebuild_modulo_seeds():
     for ctx in FIELDS:
         for _ in range(8):
             width = rng.randrange(2, 6)
+            # untagged inserts, which dependencies are taken modulo
             seeds = [[random_elem(ctx, rng, bound=3) for _ in range(width)] for _ in range(rng.randrange(3))]
             ech = _Echelon(ctx, width)
             for s in seeds:
@@ -384,7 +386,8 @@ def test_echelon_dependencies_rebuild_modulo_seeds():
                 noise = [x + b * y for x, y in zip(noise, s)]
             vec = [x + y for x, y in zip(vec, noise)]
             expected = {t: a.val for t, a in coeffs.items() if not a.is_zero()}
-            assert ech.express([c.val for c in vec]) == expected
+            # a span shares the bookkeeping, so it reports the same dependency
+            assert ech.span().insert([c.val for c in vec], tag="probe") == expected
             dep = ech.insert([c.val for c in vec], tag="probe")
             assert dep == expected
             rebuilt = list(noise)
@@ -589,61 +592,81 @@ def test_internal_polys_match_public_constructor():
 
 def test_frobenius_scan_stops_once_the_quotient_is_spanned(monkeypatch):
     """The unit-vector scan skips vectors inside the span already
-    reached and stops when that span is everything, and the generator's
-    chain is built without `_coset_order`: on a companion matrix, one
-    `_coset_order` call for one scanned vector.  Each scanned unit vector
-    is reduced once, by its insert into the scan's echelon."""
+    reached and stops when that span is everything, and each generator's
+    Krylov work is done once, by `_coset_order`, whose echelon becomes
+    the kept basis.  The counts are every `_Echelon.insert` and every
+    matrix-vector product of the call, the 2n products of the check
+    A Q = Q F included."""
     from centtype import exactmat
 
-    calls, reductions = [], []
-    orig, reduce = exactmat._coset_order, exactmat._Echelon._reduce
-
-    def counting(*args):
-        calls.append(1)
-        return orig(*args)
-
-    def counting_reduce(self, vec):
-        reductions.append(1)
-        return reduce(self, vec)
-
-    monkeypatch.setattr(exactmat, "_coset_order", counting)
     x = Poly.x(F5)
     f = x**10 + 3 * x**7 + x**3 + 2 * x + 1
-    assert frobenius_form(companion(f)).invariant_factors == (f,)
-    assert len(calls) == 1
-    del calls[:]
     d1 = x + 1
-    M = block_diag([companion(d1), companion(d1 * f)])
-    monkeypatch.setattr(exactmat._Echelon, "_reduce", counting_reduce)
+    C, M = companion(f), block_diag([companion(d1), companion(d1 * f)])
+    counts = collections.Counter()
+    coset_order, insert, matvec = exactmat._coset_order, exactmat._Echelon.insert, PrimeField._matvec
+
+    def counting_order(*args):
+        counts["coset_order"] += 1
+        return coset_order(*args)
+
+    def counting_insert(self, vec, tag=None):
+        counts["insert"] += 1
+        return insert(self, vec, tag)
+
+    def counting_matvec(self, rows, vec):
+        counts["matvec"] += 1
+        return matvec(self, rows, vec)
+
+    monkeypatch.setattr(exactmat, "_coset_order", counting_order)
+    monkeypatch.setattr(exactmat._Echelon, "insert", counting_insert)
+    monkeypatch.setattr(PrimeField, "_matvec", counting_matvec)
+    assert frobenius_form(C).invariant_factors == (f,)
+    # e_0 into the scan, then its chain: 11 inserts and 10 products
+    assert counts == {"coset_order": 1, "insert": 12, "matvec": 30}
+    counts.clear()
     assert frobenius_form(M).invariant_factors == (d1, d1 * f)
-    assert len(calls) == 3
-    # 12 basis inserts, 2 conductor expressions, 16 inserts in the three
-    # `_coset_order` calls and 13 scan inserts: 3 unit vectors, which are
-    # not also expressed first, and 10 later chain vectors
-    assert len(reductions) == 43
+    # round 1: e_0 (order x + 1, 1 + 2 inserts, 1 product), then e_1
+    # (order (x + 1) f, 1 + 12 inserts, 11 products, 10 chain vectors into
+    # the scan); round 2: e_0 again, now modulo e_1's chain (1 + 2, 1)
+    assert counts == {"coset_order": 3, "insert": 29, "matvec": 37}
 
 
 @pytest.mark.parametrize(
-    "rows, splits, factors, basis",
+    "rows, splits, factors, basis, seen",
     [
         # round 2 corrects the scanned e_1 to e_0 + e_1
-        ([[0, 0, 0], [0, 0, 0], [1, 1, 0]], 0, ["x", "x^2"], [["1", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]),
+        (
+            [[0, 0, 0], [0, 0, 0], [1, 1, 0]],
+            0,
+            ["x", "x^2"],
+            [["1", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+            [[1, 0, 0], [0, 1, 0], [0, 1, 0], [1, 1, 0]],
+        ),
         # round 1 combines e_0 and e_1 by the lcm split, round 2 corrects e_2
-        ([[0, 0, 0], [0, 1, 1], [0, 0, 0]], 1, ["x", "x^2 + x"], [["1", "1", "1"], ["1", "1", "0"], ["0", "1", "0"]]),
+        (
+            [[0, 0, 0], [0, 1, 1], [0, 0, 0]],
+            1,
+            ["x", "x^2 + x"],
+            [["1", "1", "1"], ["1", "1", "0"], ["0", "1", "0"]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [0, 0, 1], [1, 1, 1]],
+        ),
     ],
+    ids=["corrected", "combined"],
 )
-def test_frobenius_conductor_and_lcm_rounds_order_only_unit_vectors(monkeypatch, rows, splits, factors, basis):
-    """`_coset_order` sees only scanned unit vectors: a generator that the
-    lcm split or the conductor correction changed gets its chain from
-    matrix-vector products, not from a second order computation."""
+def test_frobenius_rounds_rerun_the_order_only_of_changed_generators(monkeypatch, rows, splits, factors, basis, seen):
+    """`_coset_order` sees each scanned unit vector once per round, and
+    again only a generator that the lcm split or the conductor correction
+    changed, once it is changed: its echelon and chain then replace the
+    unit vector's."""
     from centtype import exactmat
 
-    seen, split_calls = [], []
+    orders, split_calls = [], []
     coset_order, lcm_split = exactmat._coset_order, exactmat._lcm_coprime_split
 
-    def recording_order(A, u, basis):
-        seen.append(list(u))
-        return coset_order(A, u, basis)
+    def recording_order(A, u, basis, tag):
+        orders.append(list(u))
+        return coset_order(A, u, basis, tag)
 
     def recording_split(f, g):
         split_calls.append((f, g))
@@ -653,7 +676,7 @@ def test_frobenius_conductor_and_lcm_rounds_order_only_unit_vectors(monkeypatch,
     monkeypatch.setattr(exactmat, "_lcm_coprime_split", recording_split)
     A = Matrix(F2, rows)
     ff = frobenius_form(A)
-    assert seen and all(sorted(u) == [0, 0, 1] for u in seen), seen
+    assert orders == seen
     assert len(split_calls) == splits
     assert [str(f) for f in ff.invariant_factors] == factors
     assert [[str(c) for c in col] for col in zip(*ff.basis.rows)] == basis
@@ -661,27 +684,104 @@ def test_frobenius_conductor_and_lcm_rounds_order_only_unit_vectors(monkeypatch,
 
 
 def test_frobenius_refuses_a_generator_chain_that_depends_on_itself(monkeypatch):
-    """An order of too high a degree gives a chain of more vectors than
-    the quotient holds, and inserting it into the kept basis meets a
-    dependency."""
+    """An order of too high a degree claims more vectors than its chain
+    holds: on a cyclic matrix the form's certificate refuses it, and on a
+    corrected generator the rerun's order differs from the conductor."""
     from centtype import exactmat
     from centtype.errors import VerificationError
 
     coset_order = exactmat._coset_order
+    x = Poly.x(F5)
 
-    def inflated(A, u, basis):
-        g, chain = coset_order(A, u, basis)
-        return g * Poly.x(A.ctx), chain
+    def inflated(A, u, basis, tag):
+        g, chain, ech, rest = coset_order(A, u, basis, tag)
+        return g * x, chain, ech, rest
 
     monkeypatch.setattr(exactmat, "_coset_order", inflated)
-    x = Poly.x(F5)
-    with pytest.raises(VerificationError, match="corrected generator changed order"):
+    with pytest.raises(VerificationError, match="canonical form verification failed"):
         frobenius_form(companion(x**3 + 2 * x + 1))
 
+    def inflated_rerun(A, u, basis, tag):
+        g, chain, ech, rest = coset_order(A, u, basis, tag)
+        if sorted(u) != [0, 0, 1]:  # not a unit vector
+            g = g * Poly.x(A.ctx)
+        return g, chain, ech, rest
 
-def test_echelon_span_shares_the_write_once_rows_without_bookkeeping():
-    """A span holds the parent's row objects with no bookkeeping, and no
-    stored row, the parent's or the span's, is written after its insert,
+    monkeypatch.setattr(exactmat, "_coset_order", inflated_rerun)
+    # round 2 corrects e_1 to e_0 + e_1, as in the test above
+    with pytest.raises(VerificationError, match="corrected generator changed order"):
+        frobenius_form(Matrix(F2, [[0, 0, 0], [0, 0, 0], [1, 1, 0]]))
+    # round 1 combines e_0 and e_1 by the lcm split
+    with pytest.raises(VerificationError, match="combined generator changed order"):
+        frobenius_form(Matrix(F2, [[0, 0, 0], [0, 1, 1], [0, 0, 0]]))
+
+
+def _derogatory(ctx, rng):
+    """A seeded derogatory matrix: the companions of f^k, repeated and
+    nested, and of g = f + 1, g^2, f g and f^2 g, which keep the
+    invariant factors apart, in shuffled order and conjugated by a random
+    invertible U.  Half the time U is a permuted unit upper-triangular
+    matrix with n entries off the diagonal, so that unit vectors of
+    coprime orders meet in one round and the lcm split runs."""
+    f = random_monic(ctx, rng.randint(1, 2), rng, bound=3)
+    polys = [f**k for k in rng.choice(([1, 1, 2], [1, 2, 2], [1, 1, 3], [2, 3]))]
+    polys += [f + 1, (f + 1) ** 2, f * (f + 1), f**2 * (f + 1)][: rng.randint(1, 4)]
+    rng.shuffle(polys)
+    M = block_diag([companion(h) for h in polys])
+    n = M.nrows
+    if rng.random() < 0.5:
+        U = random_invertible(ctx, n, rng, bound=3)
+    else:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(n):
+            i, j = sorted(rng.sample(range(n), 2))
+            rows[i][j] = random_elem(ctx, rng, bound=3)
+        rng.shuffle(rows)
+        U = Matrix(ctx, rows)
+    return U.inverse() * M * U
+
+
+# sha256 over repr((invariant factor payloads, basis payloads)) of the
+# Frobenius forms of six `_derogatory` matrices per field of FIELDS
+FROBENIUS_EXPECTED = "684d7aa5108ec6ea1d23a73340dc0c8c222197798a9dd11b398e9a176dd130dd"
+
+
+def test_frobenius_forms_hash_as_recorded(monkeypatch):
+    """The invariant factors and the Krylov basis of each form stay the
+    same across changes to `frobenius_form`; the expected hash was
+    recorded at an earlier commit.  Over every field the lcm split runs,
+    and the conductor correction, which alone adds `_poly_apply` calls to
+    the two of each split, runs too."""
+    from centtype import exactmat
+
+    calls = collections.Counter()
+    lcm_split, poly_apply = exactmat._lcm_coprime_split, exactmat._poly_apply
+
+    def counting_split(f, g):
+        calls["split"] += 1
+        return lcm_split(f, g)
+
+    def counting_apply(f, A, u):
+        calls["apply"] += 1
+        return poly_apply(f, A, u)
+
+    monkeypatch.setattr(exactmat, "_lcm_coprime_split", counting_split)
+    monkeypatch.setattr(exactmat, "_poly_apply", counting_apply)
+    rng = random.Random(34)
+    h = hashlib.sha256()
+    for ctx in FIELDS:
+        calls.clear()
+        for _ in range(6):
+            ff = frobenius_form(_derogatory(ctx, rng))
+            h.update(repr((tuple(d._vals for d in ff.invariant_factors), ff.basis._vals)).encode())
+        assert calls["apply"] > 2 * calls["split"] > 0, (ctx.short_name(), calls)
+    assert h.hexdigest() == FROBENIUS_EXPECTED
+
+
+def test_echelon_span_shares_the_write_once_rows_and_bookkeeping():
+    """A span holds the parent's row objects, bookkeeping and leads, an
+    insert into either echelon leaves the other as it was, and no stored
+    row, the parent's or the span's, is written after its insert,
     whatever is inserted into either echelon or read off `reduced`."""
     stored = []  # (stored row, deep copy taken at its insert)
 
@@ -695,18 +795,21 @@ def test_echelon_span_shares_the_write_once_rows_without_bookkeeping():
     for t, v in enumerate(([1, 2, 0, 0], [0, 1, 4, 0])):
         assert insert(ech, v, tag=t) is None
     span = ech.span()
-    assert all(s[1] is e[1] for s, e in zip(span.rows, ech.rows))
-    assert [(p, combo) for p, _, combo in span.rows] == [(0, {}), (1, {})]
-    assert span.express([1, 3, 4, 0]) == {}
-    assert ech.express([1, 3, 4, 0]) == {0: 1, 1: 1}
+    assert span.rows is not ech.rows and span.leads is not ech.leads
+    assert all(s is e for s, e in zip(span.rows, ech.rows)) and span.leads == ech.leads == [1, 1]
+    assert span.insert([1, 3, 4, 0]) == ech.insert([1, 3, 4, 0]) == {0: 1, 1: 1}
     assert insert(span, [0, 0, 1, 0], tag="new") is None
-    assert insert(span, [3, 1, 2, 0], tag="dep") == {"new": 2}
+    # 3 * (1, 2, 0, 0) + 2 * (0, 0, 1, 0), over the parent's tag and the span's
+    assert insert(span, [3, 1, 2, 0], tag="dep") == {0: 3, "new": 2}
+    # the span's insert left the parent as it was
+    assert ech.span().insert([3, 1, 2, 0]) is None and len(ech.rows) == len(ech.leads) == 2
     # the second shared row is nonzero at column 2, which is a pivot of
     # both echelons from here on; a reduced form would clear it there
     assert insert(ech, [0, 0, 2, 1]) is None
     assert insert(ech, [0, 1, 0, 0], tag=2) is None
     assert insert(span, [1, 1, 1, 1], tag="late") is None
-    assert ech.express([1, 3, 4, 0]) == {0: 1, 1: 1}
+    assert ech.insert([1, 3, 4, 0]) == span.insert([1, 3, 4, 0]) == {0: 1, 1: 1}
+    assert len(ech.leads) == len(ech.rows) == len(span.leads) == len(span.rows) == 4
     assert ech.reduced() == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}, 3: {3: 1}}
     assert ech.reduced() == span.reduced()
     assert len(stored) == 6

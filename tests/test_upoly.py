@@ -451,7 +451,8 @@ def test_norm_of_a_full_chain_is_the_resultant():
         f, g = _rand_monic_q(rng, 4, 3), _rand_monic_q(rng, 4, 3)
         D = f.degree * g.degree
         for s in (1, 2, 3):
-            N, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), _Echelon(Q, D))
+            N, chain, _, rest = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), _Echelon(Q, D), 0)
+            assert rest == {}
             if len(chain) != D:
                 continue
             full += 1
@@ -468,7 +469,7 @@ def test_short_chain_means_the_norm_has_a_repeated_root():
         f, g = _rand_monic_q(rng, 3, 2), _rand_monic_q(rng, 3, 2)
         D = f.degree * g.degree
         for s in (1, 2):
-            _, chain = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), _Echelon(Q, D))
+            _, chain, _, _ = _coset_order(_kron_sum(f, g, s), _unit_vec(Q, D, 0), _Echelon(Q, D), 0)
             if len(chain) == D:
                 continue
             short += 1
@@ -488,8 +489,8 @@ def test_roots_trager_skips_a_shift_with_a_short_chain(monkeypatch):
     f = Poly(Q, [-2, 0, 1])
     seen = []
 
-    def recording(A, u, basis):
-        out = _coset_order(A, u, basis)
+    def recording(A, u, basis, tag):
+        out = _coset_order(A, u, basis, tag)
         seen.append((A, len(out[1])))
         return out
 
